@@ -26,6 +26,7 @@ from .coco import (
     load_predictions,
     parse_predictions,
     predictions_to_list,
+    read_predictions,
     write_json,
 )
 from .errors import CocoFormatError, SubmissionError, UnknownPresetError
@@ -149,8 +150,9 @@ def cmd_fuse(args) -> int:
     task = _task_of(args.task)
     inputs = []
     for path in args.inputs:
-        kind = _peek_task(path, task)
-        inputs.append(load_predictions(path, dataset, kind, lenient=args.lenient))
+        items = read_predictions(path)
+        inputs.append(load_predictions(items, dataset, _payload_task(items, task),
+                                       lenient=args.lenient))
     fused = run_preset(preset, dataset, inputs, task, params)
     write_json(predictions_to_list(fused), args.out)
     _write_manifest(
@@ -162,13 +164,13 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _peek_task(path, fallback: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, list) and data and isinstance(data[0], dict):
-        if "segmentation" in data[0]:
+def _payload_task(items: list, fallback: str) -> str:
+    """Task of the first result's payload; ``fallback`` when the list is
+    empty or its first entry carries neither payload."""
+    if items and isinstance(items[0], dict):
+        if "segmentation" in items[0]:
             return SEGMENTATION
-        if "bbox" in data[0]:
+        if "bbox" in items[0]:
             return DETECTION
     return fallback
 

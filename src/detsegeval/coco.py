@@ -163,6 +163,27 @@ def _require(obj: dict, key: str, location: str):
     return obj[key]
 
 
+def _number(value, cast):
+    """``cast(value)``, or None when the value is not a number."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _require_int(obj: dict, key: str, location: str) -> int:
+    value = _number(_require(obj, key, location), int)
+    if value is None:
+        raise MalformedJsonError(f"{location}: {key} {obj[key]!r} is not a number")
+    return value
+
+
+def _require_object(obj, location: str) -> dict:
+    if not isinstance(obj, dict):
+        raise MalformedJsonError(f"{location}: entry must be a JSON object")
+    return obj
+
+
 def _check_ring_list(raw_seg, location: str) -> PolygonSet:
     """Validate a COCO polygon segmentation payload (list of flat rings)."""
     if isinstance(raw_seg, dict):
@@ -211,56 +232,59 @@ def load_ground_truth(path) -> Dataset:
     raw_images = _require(data, "images", str(path))
     raw_annotations = _require(data, "annotations", str(path))
     raw_categories = _require(data, "categories", str(path))
+    if not (isinstance(raw_images, list) and isinstance(raw_annotations, list)):
+        raise MalformedJsonError(f"{path}: images and annotations must be JSON arrays")
 
     if not isinstance(raw_categories, list) or len(raw_categories) != 1:
         raise MultipleCategoriesError(
             f"{path}: expected exactly one category, found "
             f"{len(raw_categories) if isinstance(raw_categories, list) else 'non-list'}"
         )
-    category = raw_categories[0]
-    category_id = int(_require(category, "id", "categories[0]"))
+    category = _require_object(raw_categories[0], "categories[0]")
+    category_id = _require_int(category, "id", "categories[0]")
     category_name = str(category.get("name", ""))
 
-    images: list[ImageRecord] = []
-    seen_ids: set[int] = set()
+    images: dict[int, ImageRecord] = {}
     for k, raw in enumerate(raw_images):
         loc = f"images[{k}]"
-        image_id = int(_require(raw, "id", loc))
-        width = int(_require(raw, "width", loc))
-        height = int(_require(raw, "height", loc))
+        raw = _require_object(raw, loc)
+        image_id = _require_int(raw, "id", loc)
+        width = _require_int(raw, "width", loc)
+        height = _require_int(raw, "height", loc)
         file_name = str(_require(raw, "file_name", loc))
-        if image_id in seen_ids:
+        if image_id in images:
             raise DuplicateImageIdError(f"{loc}: duplicate image id {image_id}")
         if width < 1 or height < 1:
             raise MalformedJsonError(f"{loc}: image dimensions must be >= 1")
-        seen_ids.add(image_id)
-        images.append(ImageRecord(image_id, width, height, file_name))
+        images[image_id] = ImageRecord(image_id, width, height, file_name)
 
     report = ValidationReport()
     instances: list[GroundTruthInstance] = []
     for k, raw in enumerate(raw_annotations):
-        ann_id = raw.get("id", k)
-        loc = f"annotations[{k}] (id={ann_id})"
-        image_id = int(_require(raw, "image_id", loc))
-        if image_id not in seen_ids:
+        raw = _require_object(raw, f"annotations[{k}]")
+        loc = f"annotations[{k}] (id={raw.get('id', k)})"
+        ann_id = _require_int(raw, "id", loc) if "id" in raw else k
+        image_id = _require_int(raw, "image_id", loc)
+        image = images.get(image_id)
+        if image is None:
             raise UnknownImageRefError(f"{loc}: references unknown image id {image_id}")
-        cat = int(_require(raw, "category_id", loc))
+        cat = _require_int(raw, "category_id", loc)
         if cat != category_id:
             raise MalformedJsonError(
                 f"{loc}: category_id {cat} does not match the dataset category {category_id}"
             )
         raw_box = _require(raw, "bbox", loc)
-        if not (isinstance(raw_box, list) and len(raw_box) == 4):
+        if not (isinstance(raw_box, list) and len(raw_box) == 4
+                and all(isinstance(v, (int, float)) for v in raw_box)):
             raise MalformedJsonError(f"{loc}: bbox must be [x, y, w, h]")
         box = BBox(*(float(v) for v in raw_box))
         if not all(math.isfinite(v) for v in raw_box) or box.w <= 0 or box.h <= 0:
             raise MalformedJsonError(f"{loc}: degenerate bbox {raw_box}")
         poly = _check_ring_list(_require(raw, "segmentation", loc), loc)
-        image = next(im for im in images if im.id == image_id)
         _check_box_bounds(box, image, report, loc)
-        instances.append(GroundTruthInstance(int(ann_id), image_id, box, poly, cat))
+        instances.append(GroundTruthInstance(ann_id, image_id, box, poly, cat))
 
-    return Dataset(images, instances, category_id, category_name)
+    return Dataset(images.values(), instances, category_id, category_name)
 
 
 def _parse_prediction_items(data, dataset: Dataset, task: str,
@@ -280,31 +304,40 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
             continue
 
         ok = True
-        image_id = raw.get("image_id")
+        raw_image_id = raw.get("image_id")
+        image_id = _number(raw_image_id, int)
         if image_id is None:
-            report.error("MissingField", "missing image_id", loc)
+            if raw_image_id is None:
+                report.error("MissingField", "missing image_id", loc)
+            else:
+                report.error("MalformedJson", f"image_id {raw_image_id!r} is not a number", loc)
             report.instances_dropped += 1
             continue
-        image_id = int(image_id)
         image_ids_seen.add(image_id)
         image = dataset.images_by_id.get(image_id)
         if image is None:
             report.error("UnknownImageRef", f"unknown image id {image_id}", loc)
             ok = False
 
-        score = raw.get("score")
+        raw_score = raw.get("score")
+        score = _number(raw_score, float)
         if score is None:
-            report.error("MissingField", "missing score", loc)
+            if raw_score is None:
+                report.error("MissingField", "missing score", loc)
+            else:
+                report.error("MalformedJson", f"score {raw_score!r} is not a number", loc)
             ok = False
             score = 0.0
-        else:
-            score = float(score)
-            if not math.isfinite(score) or score < 0.0 or score > 1.0:
-                report.error("ScoreOutOfRange", f"score {score} outside [0, 1]", loc)
-                ok = False
+        elif not math.isfinite(score) or score < 0.0 or score > 1.0:
+            report.error("ScoreOutOfRange", f"score {score} outside [0, 1]", loc)
+            ok = False
 
-        category_id = int(raw.get("category_id", dataset.category_id))
-        if category_id != dataset.category_id:
+        category_id = _number(raw.get("category_id", dataset.category_id), int)
+        if category_id is None:
+            report.error("MalformedJson",
+                         f"category_id {raw['category_id']!r} is not a number", loc)
+            ok = False
+        elif category_id != dataset.category_id:
             report.error("CategoryMismatch",
                          f"category_id {category_id} does not match the dataset "
                          f"category {dataset.category_id}", loc)
@@ -360,16 +393,25 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
     return retained
 
 
-def load_predictions(path, dataset: Dataset, task: str, lenient: bool = False,
+def read_predictions(path) -> list:
+    """Parse a prediction file, which must hold a JSON array."""
+    data = _read_json(path)
+    if not isinstance(data, list):
+        raise MalformedJsonError(f"{path}: predictions must be a JSON array")
+    return data
+
+
+def load_predictions(source, dataset: Dataset, task: str, lenient: bool = False,
                      max_per_image: Optional[int] = None) -> PredictionSet:
-    """Load a prediction file for the given task.
+    """Load a prediction file, or the list :func:`read_predictions` parsed
+    from one, for the given task.
 
     Strict mode (default) raises :class:`SubmissionError` if any instance
     violates an invariant; lenient mode drops the offenders and keeps the
     rest.  ``max_per_image`` optionally caps instances per image, keeping
     the highest-scoring ones (unlimited by default).
     """
-    preds, report = parse_predictions(path, dataset, task)
+    preds, report = parse_predictions(source, dataset, task)
     if report.errors and not lenient:
         raise SubmissionError(report)
     if max_per_image is not None:
@@ -377,14 +419,14 @@ def load_predictions(path, dataset: Dataset, task: str, lenient: bool = False,
     return PredictionSet(task, preds)
 
 
-def parse_predictions(path, dataset: Dataset, task: str
+def parse_predictions(source, dataset: Dataset, task: str
                       ) -> tuple[list[PredictionInstance], ValidationReport]:
-    """One-pass parse + validation; returns surviving instances and the report."""
+    """One-pass parse + validation of a prediction file or of the list
+    :func:`read_predictions` parsed from one; returns surviving instances
+    and the report."""
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise MalformedJsonError(f"{path}: predictions must be a JSON array")
+    data = source if isinstance(source, list) else read_predictions(source)
     report = ValidationReport()
     retained = _parse_prediction_items(data, dataset, task, report)
     return retained, report
@@ -497,5 +539,4 @@ def write_json(obj, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

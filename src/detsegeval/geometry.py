@@ -180,6 +180,20 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def box_iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`box_iou` of two ``(M, 4)`` float64 arrays of
+    ``[x, y, w, h]`` rows.  The operations and their order are those of
+    :func:`box_iou`, so each value equals it bit for bit."""
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = iw * ih
+    union = (aw * ah + bw * bh) - inter
+    keep = (iw > 0) & (ih > 0) & (union > 0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=keep)
+
+
 def box_ioa(a: BBox, b: BBox) -> float:
     """Intersection over the area of ``b`` (containment of b inside a)."""
     iw = min(a.x2, b.x2) - max(a.x, b.x)

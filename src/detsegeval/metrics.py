@@ -11,6 +11,9 @@ summed over the whole dataset before a single F-score is computed.
 
 from __future__ import annotations
 
+import csv
+import io
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,7 +30,7 @@ from .coco import (
     TASKS,
 )
 from .errors import EmptyInputError
-from .geometry import box_iou, mask_iou, rasterize
+from .geometry import box_iou, box_iou_columns, mask_iou, rasterize
 
 
 def default_threshold_range() -> tuple[float, ...]:
@@ -85,47 +88,80 @@ def iou_for_task(pred: PredictionInstance, gt: GroundTruthInstance, task: str,
     return mask_iou(pm, gm)
 
 
-def _iou_matrix(preds: Sequence[PredictionInstance],
-                gts: Sequence[GroundTruthInstance],
-                task: str, image: ImageRecord) -> np.ndarray:
-    """Rows = predictions (score order), cols = ground truths (id order)."""
-    matrix = np.zeros((len(preds), len(gts)), dtype=np.float64)
-    if not preds or not gts:
-        return matrix
-    if task == DETECTION:
-        for i, p in enumerate(preds):
-            for j, g in enumerate(gts):
-                matrix[i, j] = box_iou(p.bbox, g.bbox)
-    else:
-        pm = [rasterize(p.segmentation, image.width, image.height) for p in preds]
-        gm = [rasterize(g.segmentation, image.width, image.height) for g in gts]
-        for i in range(len(preds)):
-            for j in range(len(gts)):
-                matrix[i, j] = mask_iou(pm[i], gm[j])
-    return matrix
+def _box_columns(boxes) -> np.ndarray:
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _greedy_pairs(matrix: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
-    """Greedy matching on a prediction-by-gt IoU matrix.
+def _box_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
+                  gt_groups: Sequence[Sequence[GroundTruthInstance]]
+                  ) -> list[list[list[float]]]:
+    """Box IoU rows of every (predictions, ground truths) group, from one
+    columnar pass over all same-group pairs.  Group k's rows are its
+    predictions in the given order, its columns its ground truths."""
+    n_pred = np.array([len(ps) for ps in pred_groups], dtype=np.int64)
+    n_gt = np.array([len(gs) for gs in gt_groups], dtype=np.int64)
+    n_pair = n_pred * n_gt
+    pair_start = np.cumsum(n_pair) - n_pair
+    # Pair p of group k is (row r, col c) with p - pair_start[k] = r * n_gt[k] + c.
+    local = np.arange(int(n_pair.sum())) - np.repeat(pair_start, n_pair)
+    width = np.repeat(n_gt, n_pair)
+    rows = np.repeat(np.cumsum(n_pred) - n_pred, n_pair) + local // width
+    cols = np.repeat(np.cumsum(n_gt) - n_gt, n_pair) + local % width
+    preds = _box_columns(p.bbox for ps in pred_groups for p in ps)
+    gts = _box_columns(g.bbox for gs in gt_groups for g in gs)
+    flat = box_iou_columns(preds[rows], gts[cols]).tolist()
+    out = []
+    for start, n, w in zip(pair_start.tolist(), n_pred.tolist(), n_gt.tolist()):
+        out.append([flat[start + i * w:start + (i + 1) * w] for i in range(n)])
+    return out
+
+
+def _mask_iou_rows(preds: Sequence[PredictionInstance],
+                   gts: Sequence[GroundTruthInstance],
+                   image: ImageRecord) -> list[list[float]]:
+    pm = [rasterize(p.segmentation, image.width, image.height) for p in preds]
+    gm = [rasterize(g.segmentation, image.width, image.height) for g in gts]
+    return [[mask_iou(p, g) for g in gm] for p in pm]
+
+
+def _greedy_pairs(rows: Sequence[Sequence[float]], tau: float
+                  ) -> list[tuple[int, int, float]]:
+    """Greedy matching on prediction-by-gt IoU rows.
 
     Row order is the visiting order; within a row the first maximal
     column wins (columns are in ascending gt-id order, so ties resolve
     to the lowest id)."""
-    n_pred, n_gt = matrix.shape
-    taken = np.zeros(n_gt, dtype=bool)
+    taken: set[int] = set()
     pairs = []
-    for i in range(n_pred):
+    for i, row in enumerate(rows):
         best_j, best_iou = -1, 0.0
-        for j in range(n_gt):
-            if taken[j]:
-                continue
-            iou = matrix[i, j]
-            if iou >= tau and iou > best_iou:
+        for j, iou in enumerate(row):
+            if iou >= tau and iou > best_iou and j not in taken:
                 best_j, best_iou = j, iou
         if best_j >= 0:
-            taken[best_j] = True
-            pairs.append((i, best_j, float(best_iou)))
+            taken.add(best_j)
+            pairs.append((i, best_j, best_iou))
     return pairs
+
+
+def _greedy_tp_by_threshold(rows: Sequence[Sequence[float]],
+                            taus: Sequence[float]) -> list[int]:
+    """Greedy true-positive count at each threshold of ascending ``taus``.
+
+    The greedy result depends only on which entries reach tau, and those
+    sets shrink as tau rises; two thresholds with equally many passing
+    entries therefore pass the same set and share one greedy run."""
+    values = sorted(v for row in rows for v in row)
+    tps = []
+    last_passing, tp = -1, 0
+    for tau in taus:
+        passing = len(values) - bisect_left(values, tau)
+        if passing != last_passing:
+            # With fewer than two passing entries nothing can compete.
+            tp = passing if passing < 2 else len(_greedy_pairs(rows, tau))
+            last_passing = passing
+        tps.append(tp)
+    return tps
 
 
 def _hungarian_pairs(matrix: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
@@ -153,11 +189,15 @@ def match_image(preds: Sequence[PredictionInstance],
     scoring always uses the greedy protocol.
     """
     gts = sorted(gts, key=lambda g: g.id)
-    matrix = _iou_matrix(preds, gts, task, image)
+    if task == DETECTION:
+        rows = _box_iou_rows([preds], [gts])[0]
+    else:
+        rows = _mask_iou_rows(preds, gts, image)
     if protocol == "greedy":
-        raw = _greedy_pairs(matrix, tau)
+        raw = _greedy_pairs(rows, tau)
     elif protocol == "hungarian":
-        raw = _hungarian_pairs(matrix, tau)
+        raw = _hungarian_pairs(np.array(rows, dtype=np.float64).reshape(len(preds), len(gts)),
+                               tau)
     else:
         raise ValueError(f"unknown matching protocol {protocol!r}")
     matched_preds = {i for i, _, _ in raw}
@@ -172,15 +212,9 @@ def match_image(preds: Sequence[PredictionInstance],
 def confusion_at(dataset: Dataset, preds: PredictionSet, tau: float,
                  task: Optional[str] = None) -> ConfusionCounts:
     """Micro-aggregated confusion counts over every image in the dataset."""
-    task = task or preds.task
-    total = ConfusionCounts()
-    for image in dataset.images:
-        m = match_image(preds.instances_for(image.id),
-                        dataset.instances_for(image.id), tau, task, image)
-        total = total + ConfusionCounts(
-            len(m.pairs), len(m.unmatched_predictions), len(m.unmatched_ground_truths)
-        )
-    return total
+    config = MetricConfig(headline_threshold=tau, thresholds=(tau,),
+                          task=task or preds.task)
+    return evaluate(dataset, preds, config).per_threshold[0].counts
 
 
 def f_beta(counts: ConfusionCounts, beta: float) -> float:
@@ -197,8 +231,9 @@ def f_beta(counts: ConfusionCounts, beta: float) -> float:
 def f_over_range(dataset: Dataset, preds: PredictionSet, config: MetricConfig,
                  beta: float) -> float:
     """Mean F-beta over the config's threshold range."""
-    scores = [f_beta(confusion_at(dataset, preds, t, config.task), beta)
-              for t in config.thresholds]
+    report = evaluate(dataset, preds, config)
+    scores = [f_beta(tm.counts, beta) for tm in report.per_threshold
+              if tm.threshold in config.thresholds]
     return sum(scores) / len(scores)
 
 
@@ -276,42 +311,44 @@ def evaluate(dataset: Dataset, preds: PredictionSet,
              config: Optional[MetricConfig] = None, jobs: int = 1) -> MetricsReport:
     """Score a prediction set against a dataset.
 
-    Per-image matching runs independently (optionally across ``jobs``
-    workers); counts are aggregated in dataset image order, so the report
-    is bit-identical for any degree of parallelism.
+    Each image's IoU rows are computed once and serve every threshold.
+    Box IoU comes from one columnar pass over all images.  Mask IoU runs
+    per image, across ``jobs`` threads when ``jobs > 1``; box matching is
+    pure Python and holds the interpreter lock, so it never uses them.
+    Counts are aggregated in dataset image order, so the report is
+    bit-identical for any ``jobs``.
     """
     if config is None:
         config = MetricConfig(task=preds.task)
     if config.task != preds.task:
         raise ValueError(f"config task {config.task!r} != predictions task {preds.task!r}")
     taus = config.all_thresholds()
-
-    def score_image(image: ImageRecord) -> tuple[int, dict[float, tuple[int, int, int]]]:
-        gts = sorted(dataset.instances_for(image.id), key=lambda g: g.id)
-        ps = preds.instances_for(image.id)
-        matrix = _iou_matrix(ps, gts, config.task, image)
-        out = {}
-        for tau in taus:
-            pairs = _greedy_pairs(matrix, tau)
-            out[tau] = (len(pairs), len(ps) - len(pairs), len(gts) - len(pairs))
-        return image.id, out
-
-    if jobs > 1 and len(dataset.images) > 1:
+    images = dataset.images
+    pred_groups = [preds.instances_for(image.id) for image in images]
+    gt_groups = [sorted(dataset.instances_for(image.id), key=lambda g: g.id)
+                 for image in images]
+    if config.task == DETECTION:
+        image_rows = _box_iou_rows(pred_groups, gt_groups)
+    elif jobs > 1 and len(images) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(score_image, dataset.images))
+            image_rows = list(pool.map(_mask_iou_rows, pred_groups, gt_groups, images))
     else:
-        results = [score_image(image) for image in dataset.images]
+        image_rows = list(map(_mask_iou_rows, pred_groups, gt_groups, images))
 
-    per_image = dict(results)
-    totals: dict[float, ConfusionCounts] = {t: ConfusionCounts() for t in taus}
-    for image in dataset.images:  # fixed order keeps aggregation deterministic
-        for tau, (tp, fp, fn) in per_image[image.id].items():
-            totals[tau] = totals[tau] + ConfusionCounts(tp, fp, fn)
-
-    per_threshold = [
-        ThresholdMetrics(t, totals[t], {b: f_beta(totals[t], b) for b in config.betas})
-        for t in taus
-    ]
+    per_image: dict[int, dict[float, tuple[int, int, int]]] = {}
+    tp_sums = [0] * len(taus)
+    for image, ps, gs, rows in zip(images, pred_groups, gt_groups, image_rows):
+        tps = _greedy_tp_by_threshold(rows, taus)
+        per_image[image.id] = {tau: (tp, len(ps) - tp, len(gs) - tp)
+                               for tau, tp in zip(taus, tps)}
+        tp_sums = [a + b for a, b in zip(tp_sums, tps)]
+    n_pred = sum(map(len, pred_groups))
+    n_gt = sum(map(len, gt_groups))
+    per_threshold = []
+    for tau, tp in zip(taus, tp_sums):
+        counts = ConfusionCounts(tp, n_pred - tp, n_gt - tp)
+        per_threshold.append(
+            ThresholdMetrics(tau, counts, {b: f_beta(counts, b) for b in config.betas}))
     by_tau = {tm.threshold: tm for tm in per_threshold}
 
     def range_mean(beta: float) -> float:
@@ -374,10 +411,10 @@ def leaderboard_markdown(rows: Sequence[LeaderboardRow], headline_pct: float = 5
 
 
 def leaderboard_csv(rows: Sequence[LeaderboardRow]) -> str:
-    lines = ["rank,name,f1,f1_range,f2,f2_range,final_score"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rank", "name", "f1", "f1_range", "f2", "f2_range", "final_score"])
     for r in rows:
-        lines.append(
-            f"{r.rank},{r.name},{r.f1:.2f},{r.f1_range:.2f},"
-            f"{r.f2:.2f},{r.f2_range:.2f},{r.final:.2f}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.rank, r.name, f"{r.f1:.2f}", f"{r.f1_range:.2f}",
+                         f"{r.f2:.2f}", f"{r.f2_range:.2f}", f"{r.final:.2f}"])
+    return out.getvalue()

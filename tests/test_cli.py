@@ -56,6 +56,22 @@ class TestValidate:
         report = json.loads(out.read_text())
         assert report["counts"]["instances_dropped"] == 1
 
+    @pytest.mark.parametrize("field", ["image_id", "score", "category_id"])
+    def test_non_numeric_field_exit_2(self, workspace, field):
+        root, gt, _, _ = workspace
+        bad = write_json_file(root / "bad.json",
+                              [dict(det_pred(1, 0.9, [8, 8, 24, 24]), **{field: "abc"})])
+        assert run(["validate", gt, bad, "--task", "det"]) == 2
+        assert run(["validate", gt, bad, "--task", "det", "--lenient"]) == 0
+        assert run(["score", gt, bad, "--task", "det", "--out", root / "s"]) == 2
+
+    def test_non_object_gt_image_exit_2(self, workspace):
+        root, gt, det, _ = workspace
+        data = json.loads(gt.read_text())
+        data["images"].append(7)
+        bad_gt = write_json_file(root / "bad_gt.json", data)
+        assert run(["validate", bad_gt, det, "--task", "det"]) == 2
+
     def test_missing_file_exit_1(self, workspace):
         _, gt, _, _ = workspace
         assert run(["validate", gt, "/nonexistent/p.json"]) == 1
@@ -92,6 +108,17 @@ class TestScore:
                     "--out", root / "j8"]) == 0
         assert (root / "j1" / "report.json").read_bytes() == \
                (root / "j8" / "report.json").read_bytes()
+
+    def test_segmentation_jobs_byte_identical(self, tmp_path):
+        fx = tmp_path / "fx"
+        assert run(["gen-fixture", "--seed", 11, "--images", 12, "--out", fx]) == 0
+        for jobs in (1, 4):
+            assert run(["score", fx / "gt.json", fx / "pred_seg.json", "--task", "seg",
+                        "--jobs", jobs, "--out", tmp_path / f"j{jobs}"]) == 0
+        report = (tmp_path / "j1" / "report.json").read_bytes()
+        assert report == (tmp_path / "j4" / "report.json").read_bytes()
+        counts = json.loads(report)["per_threshold"][0]
+        assert counts["tp"] > 0 and counts["fp"] + counts["fn"] > 0
 
     def test_segmentation_task(self, workspace, capsys):
         root, gt, _, seg = workspace
@@ -132,6 +159,22 @@ class TestFuse:
         root, gt, det, _ = workspace
         assert run(["fuse", gt, det, "--preset", "identity",
                     "--set", "wbf_iou=abc", "--out", root / "x.json"]) == 3
+
+    def test_each_input_parsed_once(self, workspace, monkeypatch):
+        root, gt, det, seg = workspace
+        parsed = []
+        load = json.load
+        monkeypatch.setattr(json, "load", lambda fh: parsed.append(fh.name) or load(fh))
+        assert run(["fuse", gt, seg, det, "--preset", "sigmoid", "--task", "seg",
+                    "--out", root / "once.json"]) == 0
+        assert sorted(parsed) == sorted(map(str, (gt, seg, det)))
+
+    def test_malformed_input_exit_2(self, workspace):
+        root, gt, _, _ = workspace
+        bad = root / "bad.json"
+        bad.write_text("[{not json", encoding="utf-8")
+        assert run(["fuse", gt, bad, "--preset", "identity", "--task", "det",
+                    "--out", root / "x.json"]) == 2
 
     def test_invalid_input_exit_2(self, workspace):
         root, gt, _, _ = workspace

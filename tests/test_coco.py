@@ -74,6 +74,25 @@ class TestLoadGroundTruth:
         with pytest.raises(MalformedJsonError, match="RLE"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("key", ["images", "annotations"])
+    def test_non_object_entry_is_located(self, tmp_path, key):
+        gt = make_gt([image(1)], [annotation(1, 1, [0, 0, 5, 5])])
+        gt[key].append(7)
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=rf"{key}\[1\]"):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("key,field", [
+        ("images", "id"), ("images", "width"),
+        ("annotations", "image_id"), ("annotations", "category_id"),
+    ])
+    def test_non_numeric_field_is_located(self, tmp_path, key, field):
+        gt = make_gt([image(1)], [annotation(1, 1, [0, 0, 5, 5])])
+        gt[key][0][field] = "abc"
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=rf"{key}\[0\].*{field}"):
+            load_ground_truth(path)
+
 
 class TestLoadPredictions:
     def test_empty_array(self, tiny_gt_path, tmp_path):
@@ -81,6 +100,20 @@ class TestLoadPredictions:
         path = write_json_file(tmp_path / "p.json", [])
         preds = load_predictions(path, ds, "detection")
         assert len(preds) == 0
+
+    @pytest.mark.parametrize("field", ["image_id", "score", "category_id"])
+    def test_non_numeric_field_is_located_issue(self, tiny_gt_path, tmp_path, field):
+        ds = load_ground_truth(tiny_gt_path)
+        bad = dict(det_pred(1, 0.8, [10, 10, 20, 20]), **{field: "abc"})
+        path = write_json_file(tmp_path / "p.json", [det_pred(1, 0.9, [10, 10, 20, 20]), bad])
+        _, report = parse_predictions(path, ds, "detection")
+        assert [(e.code, e.location) for e in report.errors] == \
+               [("MalformedJson", "predictions[1]")]
+        assert field in report.errors[0].message
+        with pytest.raises(SubmissionError):
+            load_predictions(path, ds, "detection")
+        assert len(load_predictions(path, ds, "detection", lenient=True)) == 1
+        assert (report.instances_seen, report.instances_dropped) == (2, 1)
 
     def test_score_out_of_range(self, tiny_gt_path, tmp_path):
         ds = load_ground_truth(tiny_gt_path)

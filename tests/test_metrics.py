@@ -1,6 +1,9 @@
+import csv
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detsegeval.coco import (
     PredictionInstance,
@@ -8,11 +11,14 @@ from detsegeval.coco import (
     load_predictions,
 )
 from detsegeval.errors import EmptyInputError
-from detsegeval.geometry import BBox
+from detsegeval.geometry import BBox, box_iou
 from detsegeval.metrics import (
     ConfusionCounts,
     MetricConfig,
     MetricsReport,
+    _box_iou_rows,
+    _greedy_pairs,
+    _greedy_tp_by_threshold,
     confusion_at,
     default_threshold_range,
     evaluate,
@@ -21,6 +27,7 @@ from detsegeval.metrics import (
     final_score,
     iou_for_task,
     leaderboard,
+    leaderboard_csv,
     match_image,
 )
 from conftest import annotation, det_pred, image, make_gt, write_json_file
@@ -137,6 +144,77 @@ class TestMatchImage:
         optimal = match_image(preds, gts, 0.3, "detection", _img(),
                               protocol="hungarian")
         assert len(optimal.pairs) >= len(greedy.pairs)
+
+
+# Quarter-grid values make exact ties, shared edges and containment common;
+# free floats exercise rounding.
+_coord = st.one_of(st.integers(-8, 40).map(lambda v: v / 4),
+                   st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+_size = st.one_of(st.integers(1, 24).map(lambda v: v / 4),
+                  st.floats(1e-3, 6, allow_nan=False, allow_infinity=False))
+_TAUS = MetricConfig().all_thresholds()
+_deterministic = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def _box(draw):
+    return BBox(draw(_coord), draw(_coord), draw(_size), draw(_size))
+
+
+@st.composite
+def _box_near(draw, a):
+    """A box equal to, touching, nested in, disjoint from or free of ``a``."""
+    kind = draw(st.sampled_from(("same", "touching", "corner", "nested", "disjoint", "free")))
+    w, h = draw(_size), draw(_size)
+    if kind == "same":
+        return a
+    if kind == "touching":
+        return BBox(a.x2, a.y, w, h)
+    if kind == "corner":
+        return BBox(a.x - w, a.y2, w, h)
+    if kind == "nested":
+        fx, fy = draw(st.floats(0, 0.5)), draw(st.floats(0, 0.5))
+        scale = draw(st.floats(0.05, 0.5))
+        return BBox(a.x + fx * a.w, a.y + fy * a.h, scale * a.w, scale * a.h)
+    if kind == "disjoint":
+        return BBox(a.x2 + draw(_size), a.y, w, h)
+    return draw(_box())
+
+
+@st.composite
+def _image_boxes(draw):
+    preds = draw(st.lists(_box(), max_size=5))
+    gts = [draw(_box_near(draw(st.sampled_from(preds)))) if preds and draw(st.booleans())
+           else draw(_box())
+           for _ in range(draw(st.integers(0, 5)))]
+    return preds, gts
+
+
+class TestColumnarCore:
+    @_deterministic
+    @given(st.lists(_image_boxes(), max_size=4))
+    def test_box_iou_rows_equal_pairwise_box_iou(self, images):
+        pred_groups = [[_pred(0.5, b.as_list(), i) for i, b in enumerate(ps)]
+                       for ps, _ in images]
+        gt_groups = [[_gt(j + 1, b.as_list()) for j, b in enumerate(gs)] for _, gs in images]
+        rows = _box_iou_rows(pred_groups, gt_groups)
+        assert rows == [[[box_iou(a, b) for b in gs] for a in ps] for ps, gs in images]
+
+    @_deterministic
+    @given(st.data())
+    def test_threshold_reuse_equals_per_threshold_greedy(self, data):
+        # Values drawn from the thresholds themselves give ties and IoUs
+        # exactly equal to a threshold.
+        value = st.one_of(st.sampled_from((0.0, 1.0) + _TAUS), st.floats(0, 1))
+        n_gt = data.draw(st.integers(0, 6))
+        rows = data.draw(st.lists(st.lists(value, min_size=n_gt, max_size=n_gt), max_size=6))
+        taus = data.draw(st.one_of(
+            st.just(_TAUS),
+            st.lists(st.sampled_from(_TAUS) | st.floats(0.01, 1), min_size=1,
+                     max_size=8, unique=True).map(sorted)))
+        expected = [len(_greedy_pairs(rows, tau)) for tau in taus]
+        assert _greedy_tp_by_threshold(rows, taus) == expected
+        assert expected == [ref.greedy_match_size_counts(rows, n_gt, tau)[0] for tau in taus]
 
 
 class TestConfusion:
@@ -409,3 +487,16 @@ class TestLeaderboard:
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
             leaderboard([])
+
+    def test_csv_quotes_names_with_commas_and_quotes(self):
+        names = ["team, inc", 'the "best"', "plain"]
+        rows = leaderboard([(n, _report(80 - 10 * k, 40, 70, 40))
+                            for k, n in enumerate(names)])
+        text = leaderboard_csv(rows)
+        assert text == (
+            "rank,name,f1,f1_range,f2,f2_range,final_score\n"
+            '1,"team, inc",80.00,40.00,70.00,40.00,57.50\n'
+            '2,"the ""best""",70.00,40.00,70.00,40.00,55.00\n'
+            "3,plain,60.00,40.00,70.00,40.00,52.50\n"
+        )
+        assert [r[1] for r in csv.reader(io.StringIO(text))][1:] == names
