@@ -33,6 +33,7 @@ from .errors import CocoFormatError, SubmissionError, UnknownPresetError
 from .fixtures import generate_fixture
 from .fusion import PRESETS, preset_params, run_preset
 from .metrics import (
+    BETAS,
     MetricConfig,
     evaluate,
     leaderboard,
@@ -116,7 +117,7 @@ def cmd_score(args) -> int:
         out_dir / "manifest.json",
         ["score", str(args.ground_truth), str(args.predictions)],
         {"task": task, "lenient": args.lenient, "jobs": args.jobs,
-         "betas": list(config.betas), "headline_threshold": config.headline_threshold,
+         "betas": list(BETAS), "headline_threshold": config.headline_threshold,
          "thresholds": list(config.thresholds)},
         [args.ground_truth, args.predictions],
     )
@@ -276,15 +277,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnknownPresetError as exc:
+    except (UnknownPresetError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
-    except SubmissionError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except CocoFormatError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

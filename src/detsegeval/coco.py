@@ -153,7 +153,7 @@ def _read_json(path) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8, an over-long integer literal
         raise MalformedJsonError(f"{path}: {exc}") from exc
 
 
@@ -169,6 +169,15 @@ def _number(value, cast):
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         return None
+
+
+def _finite_floats(values) -> Optional[list[float]]:
+    """``values`` as floats, or None unless each is a JSON number with a
+    finite float value (an integer too large for a float is not)."""
+    floats = [_number(v, float) if isinstance(v, (int, float)) else None for v in values]
+    if all(f is not None and math.isfinite(f) for f in floats):
+        return floats
+    return None
 
 
 def _require_int(obj: dict, key: str, location: str) -> int:
@@ -199,10 +208,11 @@ def _check_ring_list(raw_seg, location: str) -> PolygonSet:
             raise MalformedJsonError(
                 f"{location}: ring {k} must hold at least 3 (x, y) vertices"
             )
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in ring):
+        floats = _finite_floats(ring)
+        if floats is None:
             raise MalformedJsonError(f"{location}: ring {k} has non-finite coordinates")
-        rings.append(ring)
-    poly = PolygonSet.from_lists(rings)
+        rings.append(tuple(floats))
+    poly = PolygonSet(tuple(rings))
     if all(polygon_area(r) == 0 for r in poly.rings):
         raise MalformedJsonError(f"{location}: every ring has zero area")
     return poly
@@ -260,10 +270,16 @@ def load_ground_truth(path) -> Dataset:
 
     report = ValidationReport()
     instances: list[GroundTruthInstance] = []
+    ann_ids: set[int] = set()
     for k, raw in enumerate(raw_annotations):
         raw = _require_object(raw, f"annotations[{k}]")
         loc = f"annotations[{k}] (id={raw.get('id', k)})"
+        # An annotation without an id takes its index, which must not
+        # collide with a real id either: ids break matching ties.
         ann_id = _require_int(raw, "id", loc) if "id" in raw else k
+        if ann_id in ann_ids:
+            raise MalformedJsonError(f"{loc}: duplicate annotation id {ann_id}")
+        ann_ids.add(ann_id)
         image_id = _require_int(raw, "image_id", loc)
         image = images.get(image_id)
         if image is None:
@@ -277,9 +293,10 @@ def load_ground_truth(path) -> Dataset:
         if not (isinstance(raw_box, list) and len(raw_box) == 4
                 and all(isinstance(v, (int, float)) for v in raw_box)):
             raise MalformedJsonError(f"{loc}: bbox must be [x, y, w, h]")
-        box = BBox(*(float(v) for v in raw_box))
-        if not all(math.isfinite(v) for v in raw_box) or box.w <= 0 or box.h <= 0:
+        coords = _finite_floats(raw_box)
+        if coords is None or coords[2] <= 0 or coords[3] <= 0:
             raise MalformedJsonError(f"{loc}: degenerate bbox {raw_box}")
+        box = BBox(*coords)
         poly = _check_ring_list(_require(raw, "segmentation", loc), loc)
         _check_box_bounds(box, image, report, loc)
         instances.append(GroundTruthInstance(ann_id, image_id, box, poly, cat))
@@ -347,17 +364,18 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
         poly: Optional[PolygonSet] = None
         if task == DETECTION:
             raw_box = raw.get("bbox")
+            coords = (_finite_floats(raw_box)
+                      if isinstance(raw_box, list) and len(raw_box) == 4 else None)
             if raw_box is None:
                 kind = "segmentation" if "segmentation" in raw else "nothing"
                 report.error("WrongPayloadKind",
                              f"detection task but entry carries {kind}", loc)
                 ok = False
-            elif not (isinstance(raw_box, list) and len(raw_box) == 4
-                      and all(isinstance(v, (int, float)) and math.isfinite(v) for v in raw_box)):
+            elif coords is None:
                 report.error("MalformedJson", f"bbox must be 4 finite numbers, got {raw_box}", loc)
                 ok = False
             else:
-                box = BBox(*(float(v) for v in raw_box))
+                box = BBox(*coords)
                 if box.w <= 0 or box.h <= 0:
                     report.error("DegeneratePayload", f"box {raw_box} has no area", loc)
                     ok = False
@@ -401,21 +419,18 @@ def read_predictions(path) -> list:
     return data
 
 
-def load_predictions(source, dataset: Dataset, task: str, lenient: bool = False,
-                     max_per_image: Optional[int] = None) -> PredictionSet:
+def load_predictions(source, dataset: Dataset, task: str,
+                     lenient: bool = False) -> PredictionSet:
     """Load a prediction file, or the list :func:`read_predictions` parsed
     from one, for the given task.
 
     Strict mode (default) raises :class:`SubmissionError` if any instance
     violates an invariant; lenient mode drops the offenders and keeps the
-    rest.  ``max_per_image`` optionally caps instances per image, keeping
-    the highest-scoring ones (unlimited by default).
+    rest.
     """
     preds, report = parse_predictions(source, dataset, task)
     if report.errors and not lenient:
         raise SubmissionError(report)
-    if max_per_image is not None:
-        preds = _cap_per_image(preds, max_per_image)
     return PredictionSet(task, preds)
 
 
@@ -430,18 +445,6 @@ def parse_predictions(source, dataset: Dataset, task: str
     report = ValidationReport()
     retained = _parse_prediction_items(data, dataset, task, report)
     return retained, report
-
-
-def _cap_per_image(preds: list[PredictionInstance], cap: int) -> list[PredictionInstance]:
-    ordered = sorted(preds, key=lambda p: (p.image_id, -p.score, p.source_index))
-    kept: list[PredictionInstance] = []
-    count: dict[int, int] = {}
-    for p in ordered:
-        n = count.get(p.image_id, 0)
-        if n < cap:
-            kept.append(p)
-            count[p.image_id] = n + 1
-    return kept
 
 
 def validate_predictions(preds: PredictionSet, dataset: Dataset) -> ValidationReport:

@@ -71,7 +71,6 @@ class FusionParams:
     det_conf: float = 0.18           # final detection confidence filter
     open_kernel: int = 5             # opening kernel for mask post-processing
     open_iterations: int = 3         # opening repetitions
-    nms_iou: float = 0.40            # plain NMS threshold
 
     # unpublished constants, documented defaults
     merge_iou: float = 0.5           # same-detector IoU merge threshold
@@ -87,8 +86,7 @@ class FusionParams:
             raise ValueError("w_seg + w_det must equal 1")
         for name in ("iou_gate", "penalty", "wbf_iou", "ensemble_threshold",
                      "seg_conf", "det_conf", "merge_iou", "merge_ioa",
-                     "cross_iou", "keep_conf", "guide_iou", "overlap_gate",
-                     "nms_iou"):
+                     "cross_iou", "keep_conf", "guide_iou", "overlap_gate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -217,7 +215,7 @@ def refine_segmentation(poly: PolygonSet, width: int, height: int,
     mask = rasterize(poly, width, height)
     if mask.any():
         mask = morphology(mask, "close", params.close_kernel, 1)
-    comps = [c for c in connected_components(mask, 8)
+    comps = [c for c in connected_components(mask)
              if int(c.sum()) >= params.min_region_area]
     if not comps:
         return None
@@ -239,7 +237,7 @@ def average_mask_ensemble(prob_masks: Sequence[np.ndarray],
     mean = np.mean(np.stack([np.asarray(m, dtype=np.float64) for m in prob_masks]), axis=0)
     binary = mean >= params.ensemble_threshold
     out: list[ScoredPoly] = []
-    for comp in connected_components(binary, 8):
+    for comp in connected_components(binary):
         if int(comp.sum()) < params.ensemble_min_area:
             continue
         ring = trace_largest_contour(comp).rings[0]
@@ -422,13 +420,6 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
     det_sets = [s for s in inputs if s.task == DETECTION]
     seg_sets = [s for s in inputs if s.task == SEGMENTATION]
 
-    if preset == "identity":
-        wanted = det_sets if task == DETECTION else seg_sets
-        out = []
-        for s in wanted:
-            out.extend(s.instances)
-        return _rebuild(task, dataset, [(p, p.score, _payload(p)) for p in out])
-
     if preset in ("uno", "visionx") and not seg_sets:
         raise ValueError(f"preset {preset!r} requires segmentation inputs")
     if preset == "ntr" and not (det_sets or seg_sets):
@@ -444,7 +435,13 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
         dets_img = [s.instances_for(image.id) for s in det_sets]
         segs_img = [s.instances_for(image.id) for s in seg_sets]
 
-        if preset == "uno":
+        if preset == "identity":
+            for insts in (dets_img if task == DETECTION else segs_img):
+                for inst in insts:
+                    payload = inst.bbox if task == DETECTION else inst.segmentation
+                    results.append((image.id, payload, inst.score))
+
+        elif preset == "uno":
             prob = [_semantic_prob_mask(insts, w, h) for insts in segs_img]
             instances = average_mask_ensemble(prob, params)
             for poly, score in instances:
@@ -510,7 +507,7 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
             binary = merged_map >= 0.5
             if binary.any():
                 binary = morphology(binary, "open", params.refine_kernel, 1)
-            for comp in connected_components(binary, 8):
+            for comp in connected_components(binary):
                 if int(comp.sum()) < params.min_region_area:
                     continue
                 score = float(merged_map[comp].mean())
@@ -532,49 +529,3 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
         for k, (image_id, payload, score) in enumerate(results)
     ]
     return PredictionSet(task, instances)
-
-
-def _payload(inst: PredictionInstance):
-    return inst.bbox if inst.bbox is not None else inst.segmentation
-
-
-def _rebuild(task: str, dataset: Dataset,
-             triples: Sequence[tuple[PredictionInstance, float, object]]) -> PredictionSet:
-    instances = [
-        PredictionInstance(
-            image_id=inst.image_id,
-            score=float(score),
-            category_id=dataset.category_id,
-            source_index=k,
-            bbox=payload if isinstance(payload, BBox) else None,
-            segmentation=payload if isinstance(payload, PolygonSet) else None,
-        )
-        for k, (inst, score, payload) in enumerate(triples)
-    ]
-    return PredictionSet(task, instances)
-
-
-# --- probability-mask fixture format (tests only) ------------------------------
-
-def write_probmask(mask: np.ndarray, path) -> None:
-    """Portable float-map: 'probmask W H' header then row-major values."""
-    arr = np.asarray(mask, dtype=np.float64)
-    h, w = arr.shape
-    lines = [f"probmask {w} {h}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_probmask(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "probmask":
-            raise ValueError(f"{path}: not a probmask file")
-        w, h = int(header[1]), int(header[2])
-        values = [[float(v) for v in fh.readline().split()] for _ in range(h)]
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != (h, w):
-        raise ValueError(f"{path}: expected {h}x{w} values")
-    return arr

@@ -30,7 +30,6 @@ from .errors import DegenerateRingError, DimensionMismatchError, EmptyMaskError
 
 Ring = Sequence[float]  # flat vertex list [x1, y1, x2, y2, ...]
 
-_STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
 
 
@@ -205,20 +204,14 @@ def box_ioa(a: BBox, b: BBox) -> float:
     return (iw * ih) / b.area
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[np.ndarray]:
-    """Split the foreground into connected components.
+def connected_components(mask: np.ndarray) -> list[np.ndarray]:
+    """Split the foreground into 8-connected components.
 
     Returns one boolean mask per component, sorted by descending pixel
     area; ties broken by the (row, col) of the first set pixel in
     row-major scan order, so the output order is fully deterministic.
     """
-    if connectivity == 8:
-        structure = _STRUCT_8
-    elif connectivity == 4:
-        structure = _STRUCT_4
-    else:
-        raise ValueError("connectivity must be 4 or 8")
-    labels, count = ndimage.label(mask, structure=structure)
+    labels, count = ndimage.label(mask, structure=_STRUCT_8)
     comps = []
     for lab in range(1, count + 1):
         comp = labels == lab
@@ -308,7 +301,7 @@ def trace_largest_contour(mask: np.ndarray) -> PolygonSet:
     """
     if not mask.any():
         raise EmptyMaskError("cannot trace an empty mask")
-    largest = connected_components(mask, connectivity=8)[0]
+    largest = connected_components(mask)[0]
     return PolygonSet((_trace_outer_ring(largest),))
 
 
@@ -386,12 +379,3 @@ def mask_to_bbox(mask: np.ndarray) -> BBox:
     r0, r1 = int(rows[0]), int(rows[-1])
     c0, c1 = int(cols[0]), int(cols[-1])
     return BBox(float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))
-
-
-def mask_to_pgm(mask: np.ndarray) -> str:
-    """Debug dump in plain PBM text format (P1)."""
-    h, w = mask.shape
-    lines = [f"P1", f"{w} {h}"]
-    for row in mask.astype(int):
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,10 @@ from .coco import (
     TASKS,
 )
 from .errors import EmptyInputError
-from .geometry import box_iou, box_iou_columns, mask_iou, rasterize
+from .geometry import box_iou_columns, mask_iou, rasterize
+
+# The composite score is defined on F1 and F2, so the betas are fixed.
+BETAS = (1.0, 2.0)
 
 
 def default_threshold_range() -> tuple[float, ...]:
@@ -40,7 +43,6 @@ def default_threshold_range() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class MetricConfig:
-    betas: tuple[float, ...] = (1.0, 2.0)
     headline_threshold: float = 0.50
     thresholds: tuple[float, ...] = field(default_factory=default_threshold_range)
     task: str = DETECTION
@@ -48,8 +50,6 @@ class MetricConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}")
-        if any(b <= 0 for b in self.betas):
-            raise ValueError("betas must be positive")
         ts = self.thresholds
         if any(not (0 < t <= 1) for t in ts) or any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValueError("thresholds must be strictly increasing and in (0, 1]")
@@ -72,20 +72,6 @@ class ConfusionCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
-
-def iou_for_task(pred: PredictionInstance, gt: GroundTruthInstance, task: str,
-                 image: ImageRecord) -> float:
-    """IoU between one prediction and one ground truth: analytic box IoU
-    for detection, rasterized-mask IoU at image resolution for segmentation."""
-    if task == DETECTION:
-        return box_iou(pred.bbox, gt.bbox)
-    pm = rasterize(pred.segmentation, image.width, image.height)
-    gm = rasterize(gt.segmentation, image.width, image.height)
-    return mask_iou(pm, gm)
 
 
 def _box_columns(boxes) -> np.ndarray:
@@ -164,42 +150,19 @@ def _greedy_tp_by_threshold(rows: Sequence[Sequence[float]],
     return tps
 
 
-def _hungarian_pairs(matrix: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
-    from scipy.optimize import linear_sum_assignment
-
-    if matrix.size == 0:
-        return []
-    gated = np.where(matrix >= tau, matrix, 0.0)
-    rows, cols = linear_sum_assignment(gated, maximize=True)
-    return [
-        (int(i), int(j), float(matrix[i, j]))
-        for i, j in zip(rows, cols)
-        if matrix[i, j] >= tau
-    ]
-
-
 def match_image(preds: Sequence[PredictionInstance],
                 gts: Sequence[GroundTruthInstance],
-                tau: float, task: str, image: ImageRecord,
-                protocol: str = "greedy") -> Matching:
+                tau: float, task: str, image: ImageRecord) -> Matching:
     """Match one image's predictions to its ground truths at threshold tau.
 
-    ``preds`` must already be in descending-score order.  The optional
-    ``hungarian`` protocol exists for sensitivity analysis only; official
-    scoring always uses the greedy protocol.
+    ``preds`` must already be in descending-score order.
     """
     gts = sorted(gts, key=lambda g: g.id)
     if task == DETECTION:
         rows = _box_iou_rows([preds], [gts])[0]
     else:
         rows = _mask_iou_rows(preds, gts, image)
-    if protocol == "greedy":
-        raw = _greedy_pairs(rows, tau)
-    elif protocol == "hungarian":
-        raw = _hungarian_pairs(np.array(rows, dtype=np.float64).reshape(len(preds), len(gts)),
-                               tau)
-    else:
-        raise ValueError(f"unknown matching protocol {protocol!r}")
+    raw = _greedy_pairs(rows, tau)
     matched_preds = {i for i, _, _ in raw}
     matched_gts = {j for _, j, _ in raw}
     return Matching(
@@ -209,11 +172,9 @@ def match_image(preds: Sequence[PredictionInstance],
     )
 
 
-def confusion_at(dataset: Dataset, preds: PredictionSet, tau: float,
-                 task: Optional[str] = None) -> ConfusionCounts:
+def confusion_at(dataset: Dataset, preds: PredictionSet, tau: float) -> ConfusionCounts:
     """Micro-aggregated confusion counts over every image in the dataset."""
-    config = MetricConfig(headline_threshold=tau, thresholds=(tau,),
-                          task=task or preds.task)
+    config = MetricConfig(headline_threshold=tau, thresholds=(tau,), task=preds.task)
     return evaluate(dataset, preds, config).per_threshold[0].counts
 
 
@@ -348,7 +309,7 @@ def evaluate(dataset: Dataset, preds: PredictionSet,
     for tau, tp in zip(taus, tp_sums):
         counts = ConfusionCounts(tp, n_pred - tp, n_gt - tp)
         per_threshold.append(
-            ThresholdMetrics(tau, counts, {b: f_beta(counts, b) for b in config.betas}))
+            ThresholdMetrics(tau, counts, {b: f_beta(counts, b) for b in BETAS}))
     by_tau = {tm.threshold: tm for tm in per_threshold}
 
     def range_mean(beta: float) -> float:

@@ -72,6 +72,56 @@ class TestValidate:
         bad_gt = write_json_file(root / "bad_gt.json", data)
         assert run(["validate", bad_gt, det, "--task", "det"]) == 2
 
+    def test_huge_integer_in_bbox_is_located(self, workspace, tmp_path):
+        root, gt, _, _ = workspace
+        bad = write_json_file(root / "bad.json", [
+            det_pred(1, 0.9, [8, 8, 24, 24]),
+            det_pred(1, 0.8, [10 ** 400, 8, 24, 24]),  # too large for a float
+        ])
+        out = tmp_path / "report.json"
+        assert run(["validate", gt, bad, "--task", "det", "--out", out]) == 2
+        [error] = json.loads(out.read_text())["errors"]
+        assert (error["code"], error["location"]) == ("MalformedJson", "predictions[1]")
+        assert run(["validate", gt, bad, "--task", "det", "--lenient", "--out", out]) == 0
+        assert json.loads(out.read_text())["counts"]["instances_dropped"] == 1
+        assert run(["score", gt, bad, "--task", "det", "--out", root / "s"]) == 2
+
+    def test_huge_integer_in_ring_is_located(self, workspace, tmp_path):
+        root, gt, _, _ = workspace
+        bad = write_json_file(root / "bad.json", [
+            seg_pred(1, 0.9, [[10 ** 400, 8, 32, 8, 32, 32, 8, 32]]),
+        ])
+        out = tmp_path / "report.json"
+        assert run(["validate", gt, bad, "--task", "seg", "--out", out]) == 2
+        [error] = json.loads(out.read_text())["errors"]
+        assert error["location"] == "predictions[0]"
+        assert "non-finite" in error["message"]
+        assert run(["validate", gt, bad, "--task", "seg", "--lenient", "--out", out]) == 0
+        assert json.loads(out.read_text())["counts"]["instances_dropped"] == 1
+
+    def test_huge_integer_in_gt_bbox_exit_2(self, workspace, capsys):
+        root, gt, det, _ = workspace
+        data = json.loads(gt.read_text())
+        data["annotations"][0]["bbox"][2] = 10 ** 400
+        bad_gt = write_json_file(root / "bad_gt.json", data)
+        assert run(["score", bad_gt, det, "--task", "det", "--out", root / "s"]) == 2
+        assert "annotations[0] (id=1): degenerate bbox" in capsys.readouterr().err
+
+    def test_integer_literal_past_parser_limit_exit_2(self, workspace):
+        root, gt, _, _ = workspace
+        bad = root / "bad.json"
+        bad.write_text('[{"image_id": 1, "score": 0.5, "bbox": [' + "9" * 5000
+                       + ', 8, 24, 24]}]', encoding="utf-8")
+        assert run(["validate", gt, bad, "--task", "det"]) == 2
+
+    def test_duplicate_gt_annotation_id_exit_2(self, workspace, capsys):
+        root, gt, det, _ = workspace
+        data = json.loads(gt.read_text())
+        data["annotations"][1]["id"] = 1
+        bad_gt = write_json_file(root / "bad_gt.json", data)
+        assert run(["score", bad_gt, det, "--task", "det", "--out", root / "s"]) == 2
+        assert "duplicate annotation id 1" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, workspace):
         _, gt, _, _ = workspace
         assert run(["validate", gt, "/nonexistent/p.json"]) == 1
@@ -135,6 +185,12 @@ class TestScore:
         a.pop("timestamp")
         b.pop("timestamp")
         assert a == b
+
+    def test_manifest_records_fixed_betas(self, workspace):
+        root, gt, det, _ = workspace
+        assert run(["score", gt, det, "--task", "det", "--out", root / "m"]) == 0
+        manifest = json.loads((root / "m" / "manifest.json").read_text())
+        assert manifest["config"]["betas"] == [1.0, 2.0]
 
 
 class TestFuse:

@@ -93,6 +93,29 @@ class TestLoadGroundTruth:
         with pytest.raises(MalformedJsonError, match=rf"{key}\[0\].*{field}"):
             load_ground_truth(path)
 
+    def test_duplicate_annotation_id(self, tmp_path):
+        gt = make_gt([image(1)], [annotation(4, 1, [0, 0, 5, 5]),
+                                  annotation(4, 1, [10, 10, 5, 5])])
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=r"annotations\[1\].*duplicate annotation id 4"):
+            load_ground_truth(path)
+
+    def test_missing_id_index_collides_with_real_id(self, tmp_path):
+        # The id-less annotation at index 1 falls back to id 1.
+        gt = make_gt([image(1)], [annotation(1, 1, [0, 0, 5, 5]),
+                                  annotation(None, 1, [10, 10, 5, 5])])
+        del gt["annotations"][1]["id"]
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=r"annotations\[1\].*duplicate annotation id 1"):
+            load_ground_truth(path)
+
+    def test_huge_integer_in_bbox_is_located(self, tmp_path):
+        gt = make_gt([image(1)], [annotation(3, 1, [10 ** 400, 0, 5, 5],
+                                             segmentation=[[0, 0, 5, 0, 5, 5]])])
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=r"annotations\[0\] \(id=3\): degenerate bbox"):
+            load_ground_truth(path)
+
 
 class TestLoadPredictions:
     def test_empty_array(self, tiny_gt_path, tmp_path):
@@ -174,14 +197,6 @@ class TestLoadPredictions:
         preds = load_predictions(path, ds, "detection", lenient=True)
         assert len(preds) == 1
         assert preds.instances[0].score == 0.9
-
-    def test_max_per_image_cap(self, tiny_gt_path, tmp_path):
-        ds = load_ground_truth(tiny_gt_path)
-        path = write_json_file(tmp_path / "p.json", [
-            det_pred(1, s, [10, 10, 5, 5]) for s in (0.1, 0.9, 0.5)
-        ])
-        preds = load_predictions(path, ds, "detection", max_per_image=2)
-        assert [p.score for p in preds.instances] == [0.9, 0.5]
 
     def test_rle_rejected(self, tiny_gt_path, tmp_path):
         ds = load_ground_truth(tiny_gt_path)

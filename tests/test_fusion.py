@@ -19,12 +19,10 @@ from detsegeval.fusion import (
     merge_boxes_iou_ioa,
     nms,
     preset_params,
-    read_probmask,
     refine_segmentation,
     run_preset,
     soft_mask_merge,
     weighted_box_fusion,
-    write_probmask,
 )
 from detsegeval.geometry import BBox, PolygonSet, box_iou, polygon_to_bbox, rasterize
 from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
@@ -377,15 +375,6 @@ class TestSoftMaskMerge:
         b[2:10, 2:10] = 0.6
         out = soft_mask_merge([a, b], 0.5)
         assert out[5, 5] == pytest.approx(0.8)
-
-
-class TestProbMaskFormat:
-    def test_round_trip(self, tmp_path):
-        m = np.random.RandomState(9).rand(7, 5)
-        path = tmp_path / "mask.probmask"
-        write_probmask(m, path)
-        again = read_probmask(path)
-        assert np.array_equal(m, again)
 
 
 @pytest.fixture

@@ -198,25 +198,24 @@ class TestConnectedComponents:
         m = np.zeros((10, 10), bool)
         m[1:4, 1:4] = True
         m[6:9, 6:9] = True
-        comps = connected_components(m, 8)
+        comps = connected_components(m)
         assert len(comps) == 2
         assert [int(c.sum()) for c in comps] == [9, 9]
 
     def test_diagonal_touch(self):
         m = np.zeros((4, 4), bool)
         m[0, 0] = m[1, 1] = True
-        assert len(connected_components(m, 8)) == 1
-        assert len(connected_components(m, 4)) == 2
+        assert len(connected_components(m)) == 1
 
     def test_empty(self):
-        assert connected_components(np.zeros((4, 4), bool), 8) == []
+        assert connected_components(np.zeros((4, 4), bool)) == []
 
     def test_partition_property(self):
         rng = random.Random(13)
         for _ in range(10):
             m = np.array([[rng.random() < 0.4 for _ in range(16)]
                           for _ in range(16)], dtype=bool)
-            comps = connected_components(m, 8)
+            comps = connected_components(m)
             union = np.zeros_like(m)
             total = 0
             for c in comps:
@@ -231,13 +230,9 @@ class TestConnectedComponents:
         m[0:2, 8:10] = True   # 4 px, starts later in scan order
         m[4:7, 0:3] = True    # 9 px
         m[0:2, 0:2] = True    # 4 px, first in scan order
-        comps = connected_components(m, 8)
+        comps = connected_components(m)
         assert int(comps[0].sum()) == 9
         assert comps[1][0, 0] and comps[2][0, 8]
-
-    def test_bad_connectivity(self):
-        with pytest.raises(ValueError):
-            connected_components(np.zeros((2, 2), bool), 6)
 
 
 class TestMorphology:
@@ -310,7 +305,7 @@ class TestTraceContour:
                           for _ in range(18)], dtype=bool)
             if not m.any():
                 continue
-            largest = connected_components(m, 8)[0]
+            largest = connected_components(m)[0]
             back = rasterize(trace_largest_contour(m), 18, 18)
             # filled silhouette: largest component plus its enclosed holes
             assert np.array_equal(back & largest, largest)
@@ -402,12 +397,6 @@ class TestMaskToBBox:
     def test_empty_raises(self):
         with pytest.raises(EmptyMaskError):
             mask_to_bbox(np.zeros((4, 4), bool))
-
-    def test_pgm_debug_dump(self):
-        from detsegeval.geometry import mask_to_pgm
-        m = np.zeros((2, 3), bool)
-        m[0, 1] = True
-        assert mask_to_pgm(m) == "P1\n3 2\n0 1 0\n0 0 0\n"
 
     def test_polygon_hull_contains_raster_hull_within_1px(self):
         rng = random.Random(31)
