@@ -15,7 +15,6 @@ from .coco import (  # noqa: F401
     ValidationReport,
     load_ground_truth,
     load_predictions,
-    validate_predictions,
 )
 from .geometry import (  # noqa: F401
     BBox,

@@ -29,7 +29,7 @@ from .coco import (
     read_predictions,
     write_json,
 )
-from .errors import CocoFormatError, SubmissionError, UnknownPresetError
+from .errors import CocoFormatError, UnknownPresetError
 from .fixtures import generate_fixture
 from .fusion import PRESETS, preset_params, run_preset
 from .metrics import (
@@ -139,6 +139,9 @@ def _resolve_preset(args) -> tuple[str, object]:
     if name.endswith(".json") and Path(name).exists():
         with open(name, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not (isinstance(config, dict) and isinstance(config.get("params", {}), dict)):
+            raise ValueError(f"{name}: a preset config must be a JSON object whose "
+                             "'params' is an object")
         name = config.get("preset", "identity")
         overrides.update(config.get("params", {}))
     overrides.update(_parse_set_values(args.set or []))
@@ -183,16 +186,17 @@ def cmd_leaderboard(args) -> int:
     if not submissions:
         print(f"no submissions found in {args.submissions}", file=sys.stderr)
         return 2
-    entries = []
+    loaded = []
     for path in submissions:
         try:
-            preds = load_predictions(path, dataset, task, lenient=args.lenient)
-        except SubmissionError as exc:
+            loaded.append((path.stem, load_predictions(path, dataset, task,
+                                                       lenient=args.lenient)))
+        except CocoFormatError as exc:
             print(f"invalid submission {path.name}: {exc}", file=sys.stderr)
-            return 2
-        entries.append((path.stem, evaluate(dataset, preds, MetricConfig(task=task),
-                                            jobs=args.jobs)))
-    rows = leaderboard(entries)
+    if len(loaded) < len(submissions):
+        return 2
+    rows = leaderboard([(name, evaluate(dataset, preds, MetricConfig(task=task), jobs=args.jobs))
+                        for name, preds in loaded])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "leaderboard.csv").write_text(leaderboard_csv(rows), encoding="utf-8")

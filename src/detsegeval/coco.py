@@ -18,11 +18,12 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import (
-    DegenerateRingError,
+    DegeneratePayloadError,
     DuplicateImageIdError,
     MalformedJsonError,
     MissingFieldError,
     MultipleCategoriesError,
+    RleUnsupportedError,
     SubmissionError,
     UnknownImageRefError,
 )
@@ -194,44 +195,41 @@ def _require_object(obj, location: str) -> dict:
 
 
 def _check_ring_list(raw_seg, location: str) -> PolygonSet:
-    """Validate a COCO polygon segmentation payload (list of flat rings)."""
+    """Validate a COCO polygon segmentation payload (list of flat rings).
+
+    Raises a :class:`MalformedJsonError` whose ``code`` names the fault:
+    ``RleUnsupported``, ``DegeneratePayload`` for a list that holds no
+    usable polygon, ``MalformedJson`` for a value of the wrong JSON type."""
     if isinstance(raw_seg, dict):
-        raise MalformedJsonError(
+        raise RleUnsupportedError(
             f"{location}: RLE-encoded segmentation is not supported, "
             "only polygon encoding is accepted"
         )
     if not isinstance(raw_seg, list) or not raw_seg:
-        raise MalformedJsonError(f"{location}: segmentation must be a non-empty list of rings")
+        error = DegeneratePayloadError if isinstance(raw_seg, list) else MalformedJsonError
+        raise error(f"{location}: segmentation must be a non-empty list of rings")
     rings = []
     for k, ring in enumerate(raw_seg):
         if not isinstance(ring, list) or len(ring) < 6 or len(ring) % 2 != 0:
-            raise MalformedJsonError(
-                f"{location}: ring {k} must hold at least 3 (x, y) vertices"
-            )
+            error = DegeneratePayloadError if isinstance(ring, list) else MalformedJsonError
+            raise error(f"{location}: ring {k} must hold at least 3 (x, y) vertices")
         floats = _finite_floats(ring)
         if floats is None:
             raise MalformedJsonError(f"{location}: ring {k} has non-finite coordinates")
         rings.append(tuple(floats))
     poly = PolygonSet(tuple(rings))
     if all(polygon_area(r) == 0 for r in poly.rings):
-        raise MalformedJsonError(f"{location}: every ring has zero area")
+        raise DegeneratePayloadError(f"{location}: every ring has zero area")
     return poly
 
 
-def _check_box_bounds(box: BBox, image: ImageRecord, report: ValidationReport,
-                      location: str) -> bool:
-    """Edge policy: any overhang is a warning; a box fully outside the
-    image is an error.  Returns True when the box may be kept."""
-    inside_w = min(box.x2, image.width) - max(box.x, 0.0)
-    inside_h = min(box.y2, image.height) - max(box.y, 0.0)
-    if inside_w <= 0 or inside_h <= 0:
-        report.error("OutsideImage", f"box {box.as_list()} lies fully outside "
-                     f"the {image.width}x{image.height} image", location)
-        return False
-    if box.x < 0 or box.y < 0 or box.x2 > image.width or box.y2 > image.height:
-        report.warn("BoxOutsideImage", f"box {box.as_list()} extends past the "
-                    f"{image.width}x{image.height} image bounds", location)
-    return True
+def _outside_image(box: BBox, image: ImageRecord) -> Optional[str]:
+    """Why a box lying fully outside its image cannot be kept, or None
+    when any part of it is inside (an overhang is allowed)."""
+    if (min(box.x2, image.width) <= max(box.x, 0.0)
+            or min(box.y2, image.height) <= max(box.y, 0.0)):
+        return f"box {box.as_list()} lies fully outside the {image.width}x{image.height} image"
+    return None
 
 
 def load_ground_truth(path) -> Dataset:
@@ -268,7 +266,6 @@ def load_ground_truth(path) -> Dataset:
             raise MalformedJsonError(f"{loc}: image dimensions must be >= 1")
         images[image_id] = ImageRecord(image_id, width, height, file_name)
 
-    report = ValidationReport()
     instances: list[GroundTruthInstance] = []
     ann_ids: set[int] = set()
     for k, raw in enumerate(raw_annotations):
@@ -298,7 +295,9 @@ def load_ground_truth(path) -> Dataset:
             raise MalformedJsonError(f"{loc}: degenerate bbox {raw_box}")
         box = BBox(*coords)
         poly = _check_ring_list(_require(raw, "segmentation", loc), loc)
-        _check_box_bounds(box, image, report, loc)
+        outside = _outside_image(box, image)
+        if outside:
+            raise MalformedJsonError(f"{loc}: {outside}")
         instances.append(GroundTruthInstance(ann_id, image_id, box, poly, cat))
 
     return Dataset(images.values(), instances, category_id, category_name)
@@ -379,8 +378,15 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
                 if box.w <= 0 or box.h <= 0:
                     report.error("DegeneratePayload", f"box {raw_box} has no area", loc)
                     ok = False
-                elif image is not None and not _check_box_bounds(box, image, report, loc):
-                    ok = False
+                elif image is not None:
+                    outside = _outside_image(box, image)
+                    if outside:
+                        report.error("OutsideImage", outside, loc)
+                        ok = False
+                    elif (box.x < 0 or box.y < 0 or box.x2 > image.width
+                          or box.y2 > image.height):
+                        report.warn("BoxOutsideImage", f"box {box.as_list()} extends past "
+                                    f"the {image.width}x{image.height} image bounds", loc)
         else:
             raw_seg = raw.get("segmentation")
             if raw_seg is None:
@@ -392,8 +398,7 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
                 try:
                     poly = _check_ring_list(raw_seg, loc)
                 except MalformedJsonError as exc:
-                    code = "RleUnsupported" if "RLE" in str(exc) else "DegeneratePayload"
-                    report.error(code, str(exc), loc)
+                    report.error(exc.code, str(exc), loc)
                     ok = False
                 if poly is not None and image is not None:
                     if not rasterize(poly, image.width, image.height).any():
@@ -445,61 +450,6 @@ def parse_predictions(source, dataset: Dataset, task: str
     report = ValidationReport()
     retained = _parse_prediction_items(data, dataset, task, report)
     return retained, report
-
-
-def validate_predictions(preds: PredictionSet, dataset: Dataset) -> ValidationReport:
-    """Re-check every instance invariant on an in-memory prediction set.
-
-    Used for closure checks on fused outputs; a set produced by
-    :func:`load_predictions` always yields an error-free report.
-    """
-    report = ValidationReport()
-    image_ids = set()
-    for k, inst in enumerate(preds.instances):
-        loc = f"instances[{k}]"
-        report.instances_seen += 1
-        ok = True
-        image_ids.add(inst.image_id)
-        image = dataset.images_by_id.get(inst.image_id)
-        if image is None:
-            report.error("UnknownImageRef", f"unknown image id {inst.image_id}", loc)
-            ok = False
-        if not math.isfinite(inst.score) or not (0.0 <= inst.score <= 1.0):
-            report.error("ScoreOutOfRange", f"score {inst.score} outside [0, 1]", loc)
-            ok = False
-        if inst.category_id != dataset.category_id:
-            report.error("CategoryMismatch",
-                         f"category_id {inst.category_id} != {dataset.category_id}", loc)
-            ok = False
-        if preds.task == DETECTION:
-            if inst.bbox is None:
-                report.error("WrongPayloadKind", "detection instance without a box", loc)
-                ok = False
-            else:
-                if inst.bbox.w <= 0 or inst.bbox.h <= 0:
-                    report.error("DegeneratePayload", "box has no area", loc)
-                    ok = False
-                elif image is not None and not _check_box_bounds(inst.bbox, image, report, loc):
-                    ok = False
-        else:
-            if inst.segmentation is None:
-                report.error("WrongPayloadKind", "segmentation instance without a polygon", loc)
-                ok = False
-            elif image is not None:
-                try:
-                    empty = not rasterize(inst.segmentation, image.width, image.height).any()
-                except DegenerateRingError as exc:
-                    report.error("DegeneratePayload", str(exc), loc)
-                    ok = False
-                else:
-                    if empty:
-                        report.error("DegeneratePayload",
-                                     "polygon rasterizes to zero pixels", loc)
-                        ok = False
-        if not ok:
-            report.instances_dropped += 1
-    report.images_seen = len(image_ids)
-    return report
 
 
 def dataset_to_dict(dataset: Dataset) -> dict:

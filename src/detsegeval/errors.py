@@ -39,6 +39,16 @@ class MalformedJsonError(CocoFormatError):
     code = "MalformedJson"
 
 
+class RleUnsupportedError(MalformedJsonError):
+    code = "RleUnsupported"
+
+
+class DegeneratePayloadError(MalformedJsonError):
+    """A polygon with too few vertices, an odd coordinate count or no area."""
+
+    code = "DegeneratePayload"
+
+
 class MissingFieldError(CocoFormatError):
     code = "MissingField"
 

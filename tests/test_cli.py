@@ -94,7 +94,7 @@ class TestValidate:
         out = tmp_path / "report.json"
         assert run(["validate", gt, bad, "--task", "seg", "--out", out]) == 2
         [error] = json.loads(out.read_text())["errors"]
-        assert error["location"] == "predictions[0]"
+        assert (error["code"], error["location"]) == ("MalformedJson", "predictions[0]")
         assert "non-finite" in error["message"]
         assert run(["validate", gt, bad, "--task", "seg", "--lenient", "--out", out]) == 0
         assert json.loads(out.read_text())["counts"]["instances_dropped"] == 1
@@ -113,6 +113,21 @@ class TestValidate:
         bad.write_text('[{"image_id": 1, "score": 0.5, "bbox": [' + "9" * 5000
                        + ', 8, 24, 24]}]', encoding="utf-8")
         assert run(["validate", gt, bad, "--task", "det"]) == 2
+
+    def test_gt_box_fully_outside_image_exit_2(self, workspace, capsys):
+        root, gt, det, _ = workspace
+        data = json.loads(gt.read_text())
+        data["annotations"][1]["bbox"] = [60, 60, 10, 10]  # overhang: accepted
+        assert run(["validate", write_json_file(root / "gt_edge.json", data), det,
+                    "--task", "det"]) == 0
+        data["annotations"][0]["bbox"] = [500, 500, 10, 10]  # the images are 64x64
+        bad_gt = write_json_file(root / "bad_gt.json", data)
+        capsys.readouterr()
+        assert run(["validate", bad_gt, det, "--task", "det"]) == 2
+        assert run(["score", bad_gt, det, "--task", "det", "--out", root / "s"]) == 2
+        err = capsys.readouterr().err
+        assert "annotations[0] (id=1): box [500.0, 500.0, 10.0, 10.0] lies fully " \
+               "outside the 64x64 image" in err
 
     def test_duplicate_gt_annotation_id_exit_2(self, workspace, capsys):
         root, gt, det, _ = workspace
@@ -263,6 +278,17 @@ class TestFuse:
         assert manifest["config"]["preset"] == "sigmoid"
         assert manifest["config"]["params"]["seg_conf"] == 0.01
 
+    @pytest.mark.parametrize("config", [
+        [], "sigmoid", {"params": [1]}, {"params": [["seg_conf", 0.2]]}, {"preset": 5},
+    ], ids=["array", "string", "params-array", "params-pairs", "preset-number"])
+    def test_malformed_preset_config_exit_3(self, workspace, capsys, config):
+        root, gt, det, _ = workspace
+        cfg = write_json_file(root / "pipeline.json", config)
+        assert run(["fuse", gt, det, "--preset", cfg, "--task", "det",
+                    "--out", root / "x.json"]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not (root / "x.json").exists()
+
     def test_set_overrides_preset_file(self, workspace):
         root, gt, det, seg = workspace
         cfg = write_json_file(root / "pipeline.json",
@@ -336,6 +362,20 @@ class TestLeaderboard:
         code = run(["leaderboard", gt, subs, "--task", "det", "--out", root / "lb3"])
         assert code == 2
         assert "broken" in capsys.readouterr().err
+
+    def test_every_invalid_submission_named(self, workspace, capsys):
+        root, gt, det, _ = workspace
+        subs = root / "subs4"
+        subs.mkdir()
+        (subs / "a.json").write_text(det.read_text())
+        (subs / "b.json").write_text(json.dumps([det_pred(1, 7.0, [1, 1, 4, 4])]))
+        (subs / "c.json").write_text(json.dumps({"not": "an array"}))
+        code = run(["leaderboard", gt, subs, "--task", "det", "--out", root / "lb4"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == \
+               ["invalid submission b.json", "invalid submission c.json"]
+        assert not (root / "lb4").exists()
 
 
 class TestGenFixture:

@@ -10,7 +10,6 @@ from detsegeval.coco import (
     parse_predictions,
     dataset_to_dict,
     predictions_to_list,
-    validate_predictions,
 )
 from detsegeval.errors import (
     DuplicateImageIdError,
@@ -208,6 +207,27 @@ class TestLoadPredictions:
             load_predictions(path, ds, "segmentation")
         assert any(e.code == "RleUnsupported" for e in exc.value.report.errors)
 
+    @pytest.mark.parametrize("segmentation,code", [
+        ({"counts": "xyz", "size": [100, 100]}, "RleUnsupported"),
+        ([[10, 10, 20, 20]], "DegeneratePayload"),                 # 2 vertices
+        ([[10, 10, 20, 10, 20, 20, 10]], "DegeneratePayload"),     # odd count
+        ([[10, 10, 20, 20, 30, 30]], "DegeneratePayload"),         # zero area
+        ([], "DegeneratePayload"),
+        ([["10", 10, 20, 10, 20, 20]], "MalformedJson"),
+        ([[float("nan"), 10, 20, 10, 20, 20]], "MalformedJson"),
+        ([[10 ** 400, 10, 20, 10, 20, 20]], "MalformedJson"),
+        ("10 10 20 10 20 20", "MalformedJson"),
+        ([7], "MalformedJson"),
+    ], ids=["rle", "two-vertices", "odd-count", "zero-area", "no-rings", "string",
+            "nan", "overflow", "not-a-list", "ring-not-a-list"])
+    def test_ring_failure_codes(self, tiny_gt_path, segmentation, code):
+        ds = load_ground_truth(tiny_gt_path)
+        retained, report = parse_predictions(
+            [seg_pred(1, 0.5, segmentation)], ds, "segmentation")
+        [error] = report.errors
+        assert (error.code, error.location) == (code, "predictions[0]")
+        assert retained == [] and report.instances_dropped == 1
+
 
 class TestValidationReport:
     def test_fully_valid(self, tiny_gt_path, tmp_path):
@@ -215,9 +235,10 @@ class TestValidationReport:
         path = write_json_file(tmp_path / "p.json",
                                [det_pred(1, 0.5, [10, 10, 20, 20])])
         preds = load_predictions(path, ds, "detection")
-        report = validate_predictions(preds, ds)
+        retained, report = parse_predictions(predictions_to_list(preds), ds, "detection")
         assert report.errors == [] and report.warnings == []
         assert report.instances_seen == 1 and report.instances_dropped == 0
+        assert len(retained) == len(preds)
 
     def test_zero_width_box_is_error_and_dropped(self, tiny_gt_path, tmp_path):
         ds = load_ground_truth(tiny_gt_path)

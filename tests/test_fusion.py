@@ -434,12 +434,13 @@ class TestPresets:
         ("visionx", "segmentation"), ("visionx", "detection"),
     ])
     def test_preset_outputs_validate(self, fusion_setup, preset, task):
-        from detsegeval.coco import validate_predictions
+        from detsegeval.coco import parse_predictions, predictions_to_list
         ds, sets = fusion_setup
         inputs = [sets["seg_a"], sets["seg_b"], sets["det_a"]]
         out = run_preset(preset, ds, inputs, task, preset_params(preset))
-        report = validate_predictions(out, ds)
+        retained, report = parse_predictions(predictions_to_list(out), ds, task)
         assert report.errors == []
+        assert len(retained) == len(out)
         for inst in out.instances:
             assert 0.0 <= inst.score <= 1.0
 
