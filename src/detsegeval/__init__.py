@@ -33,12 +33,10 @@ from .geometry import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     ConfusionCounts,
-    MetricConfig,
     MetricsReport,
     confusion_at,
     evaluate,
     f_beta,
-    f_over_range,
     final_score,
     leaderboard,
     match_image,

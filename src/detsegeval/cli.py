@@ -34,7 +34,8 @@ from .fixtures import generate_fixture
 from .fusion import PRESETS, preset_params, run_preset
 from .metrics import (
     BETAS,
-    MetricConfig,
+    HEADLINE_THRESHOLD,
+    THRESHOLDS,
     evaluate,
     leaderboard,
     leaderboard_csv,
@@ -105,8 +106,7 @@ def cmd_score(args) -> int:
     dataset = load_ground_truth(args.ground_truth)
     task = _task_of(args.task)
     preds = load_predictions(args.predictions, dataset, task, lenient=args.lenient)
-    config = MetricConfig(task=task)
-    report = evaluate(dataset, preds, config, jobs=args.jobs)
+    report = evaluate(dataset, preds, jobs=args.jobs)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -117,13 +117,13 @@ def cmd_score(args) -> int:
         out_dir / "manifest.json",
         ["score", str(args.ground_truth), str(args.predictions)],
         {"task": task, "lenient": args.lenient, "jobs": args.jobs,
-         "betas": list(BETAS), "headline_threshold": config.headline_threshold,
-         "thresholds": list(config.thresholds)},
+         "betas": list(BETAS), "headline_threshold": HEADLINE_THRESHOLD,
+         "thresholds": list(THRESHOLDS)},
         [args.ground_truth, args.predictions],
     )
 
-    pct = config.headline_threshold * 100
-    lo, hi = config.thresholds[0] * 100, config.thresholds[-1] * 100
+    pct = HEADLINE_THRESHOLD * 100
+    lo, hi = THRESHOLDS[0] * 100, THRESHOLDS[-1] * 100
     print(f"F1[{pct:.0f}]={report.f1_headline:.2f}  "
           f"F1[{lo:.0f}:{hi:.0f}]={report.f1_range:.2f}  "
           f"F2[{pct:.0f}]={report.f2_headline:.2f}  "
@@ -195,7 +195,7 @@ def cmd_leaderboard(args) -> int:
             print(f"invalid submission {path.name}: {exc}", file=sys.stderr)
     if len(loaded) < len(submissions):
         return 2
-    rows = leaderboard([(name, evaluate(dataset, preds, MetricConfig(task=task), jobs=args.jobs))
+    rows = leaderboard([(name, evaluate(dataset, preds, jobs=args.jobs))
                         for name, preds in loaded])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -165,7 +165,10 @@ def _require(obj: dict, key: str, location: str):
 
 
 def _number(value, cast):
-    """``cast(value)``, or None when the value is not a number."""
+    """``cast(value)``, or None when the value is not a number.  JSON
+    ``true``/``false`` are not numbers, though ``bool`` subclasses ``int``."""
+    if isinstance(value, bool):
+        return None
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -215,7 +218,8 @@ def _check_ring_list(raw_seg, location: str) -> PolygonSet:
             raise error(f"{location}: ring {k} must hold at least 3 (x, y) vertices")
         floats = _finite_floats(ring)
         if floats is None:
-            raise MalformedJsonError(f"{location}: ring {k} has non-finite coordinates")
+            raise MalformedJsonError(
+                f"{location}: ring {k} has a coordinate that is not a finite number")
         rings.append(tuple(floats))
     poly = PolygonSet(tuple(rings))
     if all(polygon_area(r) == 0 for r in poly.rings):

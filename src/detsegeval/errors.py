@@ -85,10 +85,6 @@ class SubmissionError(CocoFormatError):
 
 # --- fusion / metrics --------------------------------------------------------
 
-class WeightMismatchError(DetSegEvalError):
-    """Per-model weights do not match the number of model outputs."""
-
-
 class EmptyInputError(DetSegEvalError):
     pass
 

@@ -26,7 +26,11 @@ from .coco import (
     PredictionSet,
     SEGMENTATION,
 )
-from .errors import DimensionMismatchError, UnknownPresetError, WeightMismatchError
+from .errors import (
+    DegenerateRingError,
+    DimensionMismatchError,
+    UnknownPresetError,
+)
 from .geometry import (
     BBox,
     PolygonSet,
@@ -82,6 +86,13 @@ class FusionParams:
     refine_kernel: int = 3           # opening kernel after soft merging
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            # An int field takes an int, a float field an int or a float;
+            # bool is an int subclass but is neither.
+            kinds = (int,) if f.type == "int" else (int, float)
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
         if not math.isclose(self.w_seg + self.w_det, 1.0, abs_tol=1e-9):
             raise ValueError("w_seg + w_det must equal 1")
         for name in ("iou_gate", "penalty", "wbf_iou", "ensemble_threshold",
@@ -129,53 +140,39 @@ def _box_sort_key(box: BBox, score: float):
 
 
 def weighted_box_fusion(model_outputs: Sequence[Sequence[ScoredBox]],
-                        iou_threshold: float,
-                        weights: Optional[Sequence[float]] = None) -> list[ScoredBox]:
-    """Weighted box fusion across model outputs.
+                        iou_threshold: float) -> list[ScoredBox]:
+    """Weighted box fusion across equally weighted model outputs.
 
     Boxes are visited in global descending-score order (ties broken by
-    coordinates, so equal-weight fusion is invariant under permutation of
-    the model list).  Each box joins the first cluster whose running fused
-    box overlaps it at or above the threshold, else starts a new cluster.
-    Fused coordinates are the score*weight-weighted means of the members;
-    the fused score is the weight-weighted mean of member scores.  No
-    model-count rescaling is applied.
+    coordinates, so fusion is invariant under permutation of the model
+    list).  Each box joins the first cluster whose running fused box
+    overlaps it at or above the threshold, else starts a new cluster.
+    Fused coordinates are the score-weighted means of the members; the
+    fused score is the mean of member scores.  No model-count rescaling
+    is applied.
     """
-    if not model_outputs:
-        raise WeightMismatchError("need at least one model output list")
-    if weights is None:
-        weights = [1.0] * len(model_outputs)
-    if len(weights) != len(model_outputs) or any(w <= 0 for w in weights):
-        raise WeightMismatchError(
-            f"need {len(model_outputs)} positive weights, got {list(weights)}"
-        )
-
-    entries = []
-    for m, boxes in enumerate(model_outputs):
-        for k, (box, score) in enumerate(boxes):
-            entries.append((box, score, weights[m], m, k))
-    entries.sort(key=lambda e: (_box_sort_key(e[0], e[1]), e[3], e[4]))
+    # The sort is stable, so exact ties keep model-list order.
+    entries = sorted((pair for boxes in model_outputs for pair in boxes),
+                     key=lambda e: _box_sort_key(*e))
 
     clusters: list[dict] = []
-    for box, score, weight, _, _ in entries:
+    for box, score in entries:
         target = None
         for cluster in clusters:
             if box_iou(box, cluster["fused"]) >= iou_threshold:
                 target = cluster
                 break
         if target is None:
-            target = {"coord_num": np.zeros(4), "coord_den": 0.0,
-                      "score_num": 0.0, "weight_sum": 0.0, "fused": box}
+            target = {"coord_num": np.zeros(4), "score_sum": 0.0, "members": 0,
+                      "fused": box}
             clusters.append(target)
-        cw = score * weight
-        target["coord_num"] += cw * np.array([box.x, box.y, box.w, box.h])
-        target["coord_den"] += cw
-        target["score_num"] += weight * score
-        target["weight_sum"] += weight
-        coords = target["coord_num"] / target["coord_den"]
+        target["coord_num"] += score * np.array([box.x, box.y, box.w, box.h])
+        target["score_sum"] += score
+        target["members"] += 1
+        coords = target["coord_num"] / target["score_sum"]
         target["fused"] = BBox(*(float(v) for v in coords))
 
-    fused = [(c["fused"], float(c["score_num"] / c["weight_sum"])) for c in clusters]
+    fused = [(c["fused"], float(c["score_sum"] / c["members"])) for c in clusters]
     fused.sort(key=lambda e: _box_sort_key(e[0], e[1]))
     return fused
 
@@ -211,7 +208,8 @@ def refine_segmentation(poly: PolygonSet, width: int, height: int,
     """Clean one segmentation polygon: rasterize, close, drop small
     regions, keep the largest external contour, simplify.
 
-    Returns None when nothing survives the area floor."""
+    Returns None when nothing survives the area floor or simplification
+    collapses the contour below 3 vertices."""
     mask = rasterize(poly, width, height)
     if mask.any():
         mask = morphology(mask, "close", params.close_kernel, 1)
@@ -220,7 +218,10 @@ def refine_segmentation(poly: PolygonSet, width: int, height: int,
     if not comps:
         return None
     ring = trace_largest_contour(comps[0]).rings[0]
-    ring = simplify_polygon(ring, params.eps_ratio)
+    try:
+        ring = simplify_polygon(ring, params.eps_ratio)
+    except DegenerateRingError:
+        return None
     return PolygonSet((ring,))
 
 
@@ -487,7 +488,6 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
             if task == DETECTION:
                 branches = [_boxes_of(insts) for insts in dets_img]
                 branches += [_derived_boxes(_polys_of(insts)) for insts in segs_img]
-                branches = [b for b in branches if b] or [[]]
                 for box, score in weighted_box_fusion(branches, params.wbf_iou):
                     results.append((image.id, box, score))
             else:

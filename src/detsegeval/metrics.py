@@ -15,8 +15,8 @@ import csv
 import io
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,37 +27,16 @@ from .coco import (
     ImageRecord,
     PredictionInstance,
     PredictionSet,
-    TASKS,
 )
 from .errors import EmptyInputError
 from .geometry import box_iou_columns, mask_iou, rasterize
 
-# The composite score is defined on F1 and F2, so the betas are fixed.
+# The challenge's definition: the composite score is the mean of F1 and
+# F2 at the headline threshold and over the 0.40:0.95 range.
 BETAS = (1.0, 2.0)
-
-
-def default_threshold_range() -> tuple[float, ...]:
-    """The 12 thresholds 0.40, 0.45, ..., 0.95."""
-    return tuple(round(0.40 + 0.05 * i, 2) for i in range(12))
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    headline_threshold: float = 0.50
-    thresholds: tuple[float, ...] = field(default_factory=default_threshold_range)
-    task: str = DETECTION
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
-        ts = self.thresholds
-        if any(not (0 < t <= 1) for t in ts) or any(a >= b for a, b in zip(ts, ts[1:])):
-            raise ValueError("thresholds must be strictly increasing and in (0, 1]")
-        if not (0 < self.headline_threshold <= 1):
-            raise ValueError("headline threshold must be in (0, 1]")
-
-    def all_thresholds(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.thresholds) | {self.headline_threshold}))
+HEADLINE_THRESHOLD = 0.50
+# 0.40, 0.45, ..., 0.95; the headline threshold is one of them.
+THRESHOLDS = tuple(round(0.40 + 0.05 * i, 2) for i in range(12))
 
 
 @dataclass
@@ -174,8 +153,9 @@ def match_image(preds: Sequence[PredictionInstance],
 
 def confusion_at(dataset: Dataset, preds: PredictionSet, tau: float) -> ConfusionCounts:
     """Micro-aggregated confusion counts over every image in the dataset."""
-    config = MetricConfig(headline_threshold=tau, thresholds=(tau,), task=preds.task)
-    return evaluate(dataset, preds, config).per_threshold[0].counts
+    if not (0 < tau <= 1):
+        raise ValueError("threshold must be in (0, 1]")
+    return _count(dataset, preds, (tau,))[0][0].counts
 
 
 def f_beta(counts: ConfusionCounts, beta: float) -> float:
@@ -187,15 +167,6 @@ def f_beta(counts: ConfusionCounts, beta: float) -> float:
     recall = counts.tp / (counts.tp + counts.fn)
     b2 = beta * beta
     return (1 + b2) * precision * recall / (b2 * precision + recall)
-
-
-def f_over_range(dataset: Dataset, preds: PredictionSet, config: MetricConfig,
-                 beta: float) -> float:
-    """Mean F-beta over the config's threshold range."""
-    report = evaluate(dataset, preds, config)
-    scores = [f_beta(tm.counts, beta) for tm in report.per_threshold
-              if tm.threshold in config.thresholds]
-    return sum(scores) / len(scores)
 
 
 def final_score(f1_headline: float, f1_range: float,
@@ -215,8 +186,6 @@ class ThresholdMetrics:
 @dataclass
 class MetricsReport:
     task: str
-    headline_threshold: float
-    thresholds: tuple[float, ...]
     per_threshold: list[ThresholdMetrics]
     f1_headline: float     # 0-100 scale
     f1_range: float
@@ -231,8 +200,8 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "task": self.task,
-            "headline_threshold": self.headline_threshold,
-            "thresholds": list(self.thresholds),
+            "headline_threshold": HEADLINE_THRESHOLD,
+            "thresholds": list(THRESHOLDS),
             "per_threshold": [
                 {
                     "threshold": tm.threshold,
@@ -259,7 +228,7 @@ class MetricsReport:
         }
 
     def to_markdown(self, name: str = "submission") -> str:
-        pct = self.headline_threshold * 100
+        pct = HEADLINE_THRESHOLD * 100
         header = (f"| Name | F1[{pct:.0f}] | F1[range] | F2[{pct:.0f}] | F2[range] "
                   "| Final Score |")
         rule = "|---|---|---|---|---|---|"
@@ -268,27 +237,23 @@ class MetricsReport:
         return "\n".join([header, rule, row]) + "\n"
 
 
-def evaluate(dataset: Dataset, preds: PredictionSet,
-             config: Optional[MetricConfig] = None, jobs: int = 1) -> MetricsReport:
-    """Score a prediction set against a dataset.
+def _count(dataset: Dataset, preds: PredictionSet, taus: Sequence[float],
+           jobs: int = 1) -> tuple[list[ThresholdMetrics], dict]:
+    """Confusion counts and F-scores at each of the ascending ``taus``,
+    summed over the dataset and per image.
 
     Each image's IoU rows are computed once and serve every threshold.
     Box IoU comes from one columnar pass over all images.  Mask IoU runs
     per image, across ``jobs`` threads when ``jobs > 1``; box matching is
     pure Python and holds the interpreter lock, so it never uses them.
-    Counts are aggregated in dataset image order, so the report is
+    Counts are aggregated in dataset image order, so the result is
     bit-identical for any ``jobs``.
     """
-    if config is None:
-        config = MetricConfig(task=preds.task)
-    if config.task != preds.task:
-        raise ValueError(f"config task {config.task!r} != predictions task {preds.task!r}")
-    taus = config.all_thresholds()
     images = dataset.images
     pred_groups = [preds.instances_for(image.id) for image in images]
     gt_groups = [sorted(dataset.instances_for(image.id), key=lambda g: g.id)
                  for image in images]
-    if config.task == DETECTION:
+    if preds.task == DETECTION:
         image_rows = _box_iou_rows(pred_groups, gt_groups)
     elif jobs > 1 and len(images) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -310,19 +275,24 @@ def evaluate(dataset: Dataset, preds: PredictionSet,
         counts = ConfusionCounts(tp, n_pred - tp, n_gt - tp)
         per_threshold.append(
             ThresholdMetrics(tau, counts, {b: f_beta(counts, b) for b in BETAS}))
+    return per_threshold, per_image
+
+
+def evaluate(dataset: Dataset, preds: PredictionSet, *, jobs: int = 1) -> MetricsReport:
+    """Score a prediction set against a dataset at the challenge's
+    thresholds; ``jobs`` threads share the mask-IoU work of segmentation."""
+    per_threshold, per_image = _count(dataset, preds, THRESHOLDS, jobs)
     by_tau = {tm.threshold: tm for tm in per_threshold}
 
     def range_mean(beta: float) -> float:
-        return sum(by_tau[t].scores[beta] for t in config.thresholds) / len(config.thresholds)
+        return sum(by_tau[t].scores[beta] for t in THRESHOLDS) / len(THRESHOLDS)
 
-    f1_h = 100.0 * by_tau[config.headline_threshold].scores[1.0]
-    f2_h = 100.0 * by_tau[config.headline_threshold].scores[2.0]
+    f1_h = 100.0 * by_tau[HEADLINE_THRESHOLD].scores[1.0]
+    f2_h = 100.0 * by_tau[HEADLINE_THRESHOLD].scores[2.0]
     f1_r = 100.0 * range_mean(1.0)
     f2_r = 100.0 * range_mean(2.0)
     return MetricsReport(
-        task=config.task,
-        headline_threshold=config.headline_threshold,
-        thresholds=config.thresholds,
+        task=preds.task,
         per_threshold=per_threshold,
         f1_headline=f1_h,
         f1_range=f1_r,
@@ -357,10 +327,11 @@ def leaderboard(entries: Sequence[tuple[str, MetricsReport]]) -> list[Leaderboar
     ]
 
 
-def leaderboard_markdown(rows: Sequence[LeaderboardRow], headline_pct: float = 50) -> str:
+def leaderboard_markdown(rows: Sequence[LeaderboardRow]) -> str:
+    pct = HEADLINE_THRESHOLD * 100
     lines = [
-        f"| Rank | Team Name | F1[{headline_pct:.0f}] | F1[range] "
-        f"| F2[{headline_pct:.0f}] | F2[range] | Final Score |",
+        f"| Rank | Team Name | F1[{pct:.0f}] | F1[range] "
+        f"| F2[{pct:.0f}] | F2[range] | Final Score |",
         "|---|---|---|---|---|---|---|",
     ]
     for r in rows:

@@ -95,7 +95,7 @@ class TestValidate:
         assert run(["validate", gt, bad, "--task", "seg", "--out", out]) == 2
         [error] = json.loads(out.read_text())["errors"]
         assert (error["code"], error["location"]) == ("MalformedJson", "predictions[0]")
-        assert "non-finite" in error["message"]
+        assert "not a finite number" in error["message"]
         assert run(["validate", gt, bad, "--task", "seg", "--lenient", "--out", out]) == 0
         assert json.loads(out.read_text())["counts"]["instances_dropped"] == 1
 
@@ -288,6 +288,30 @@ class TestFuse:
                     "--out", root / "x.json"]) == 3
         assert "configuration error" in capsys.readouterr().err
         assert not (root / "x.json").exists()
+
+    @pytest.mark.parametrize("config,sets", [
+        ({"preset": "ntr"}, ["open_kernel=5.0"]),
+        ({"preset": "sigmoid", "params": {"seg_conf": "0.2"}}, []),
+        ({"preset": "ntr", "params": {"open_iterations": True}}, []),
+        ({"preset": "sigmoid", "params": {"wbf_iou": False}}, []),
+    ], ids=["float-for-int", "string-for-float", "bool-for-int", "bool-for-float"])
+    def test_mistyped_parameter_exit_3(self, workspace, capsys, config, sets):
+        root, gt, det, seg = workspace
+        cfg = write_json_file(root / "pipeline.json", config)
+        argv = ["fuse", gt, seg, det, "--preset", cfg, "--task", "seg",
+                "--out", root / "x.json"]
+        for pair in sets:
+            argv += ["--set", pair]
+        assert run(argv) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not (root / "x.json").exists()
+
+    def test_sigmoid_collapsing_simplification_exit_0(self, workspace):
+        root, gt, det, seg = workspace
+        out = root / "collapsed.json"
+        assert run(["fuse", gt, seg, det, "--preset", "sigmoid", "--task", "seg",
+                    "--set", "eps_ratio=0.9", "--out", out]) == 0
+        assert run(["validate", gt, out, "--task", "seg"]) == 0
 
     def test_set_overrides_preset_file(self, workspace):
         root, gt, det, seg = workspace

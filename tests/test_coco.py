@@ -92,6 +92,13 @@ class TestLoadGroundTruth:
         with pytest.raises(MalformedJsonError, match=rf"{key}\[0\].*{field}"):
             load_ground_truth(path)
 
+    def test_boolean_width_rejected(self, tmp_path):
+        gt = make_gt([image(1)], [annotation(1, 1, [0, 0, 5, 5])])
+        gt["images"][0]["width"] = True
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=r"images\[0\].*width True is not a number"):
+            load_ground_truth(path)
+
     def test_duplicate_annotation_id(self, tmp_path):
         gt = make_gt([image(1)], [annotation(4, 1, [0, 0, 5, 5]),
                                   annotation(4, 1, [10, 10, 5, 5])])
@@ -136,6 +143,19 @@ class TestLoadPredictions:
             load_predictions(path, ds, "detection")
         assert len(load_predictions(path, ds, "detection", lenient=True)) == 1
         assert (report.instances_seen, report.instances_dropped) == (2, 1)
+
+    def test_booleans_are_not_numbers(self, tiny_gt_path):
+        ds = load_ground_truth(tiny_gt_path)
+        item = {"image_id": True, "score": True, "category_id": True,
+                "bbox": [True, 8, 24, 24]}
+        retained, report = parse_predictions([item], ds, "detection")
+        assert retained == [] and report.instances_dropped == 1
+        assert [(e.code, e.location) for e in report.errors] == \
+               [("MalformedJson", "predictions[0]")]
+        item["image_id"] = 1
+        retained, report = parse_predictions([item], ds, "detection")
+        assert retained == []
+        assert [e.code for e in report.errors] == ["MalformedJson"] * 3
 
     def test_score_out_of_range(self, tiny_gt_path, tmp_path):
         ds = load_ground_truth(tiny_gt_path)
@@ -216,10 +236,11 @@ class TestLoadPredictions:
         ([["10", 10, 20, 10, 20, 20]], "MalformedJson"),
         ([[float("nan"), 10, 20, 10, 20, 20]], "MalformedJson"),
         ([[10 ** 400, 10, 20, 10, 20, 20]], "MalformedJson"),
+        ([[True, 10, 20, 10, 20, 20]], "MalformedJson"),
         ("10 10 20 10 20 20", "MalformedJson"),
         ([7], "MalformedJson"),
     ], ids=["rle", "two-vertices", "odd-count", "zero-area", "no-rings", "string",
-            "nan", "overflow", "not-a-list", "ring-not-a-list"])
+            "nan", "overflow", "bool", "not-a-list", "ring-not-a-list"])
     def test_ring_failure_codes(self, tiny_gt_path, segmentation, code):
         ds = load_ground_truth(tiny_gt_path)
         retained, report = parse_predictions(
@@ -227,6 +248,13 @@ class TestLoadPredictions:
         [error] = report.errors
         assert (error.code, error.location) == (code, "predictions[0]")
         assert retained == [] and report.instances_dropped == 1
+
+    def test_string_coordinate_message(self, tiny_gt_path):
+        ds = load_ground_truth(tiny_gt_path)
+        _, report = parse_predictions(
+            [seg_pred(1, 0.5, [["10", 10, 20, 10, 20, 20]])], ds, "segmentation")
+        [error] = report.errors
+        assert "ring 0 has a coordinate that is not a finite number" in error.message
 
 
 class TestValidationReport:

@@ -7,7 +7,6 @@ from detsegeval.coco import load_ground_truth, load_predictions
 from detsegeval.errors import (
     DimensionMismatchError,
     UnknownPresetError,
-    WeightMismatchError,
 )
 from detsegeval.fusion import (
     FusionParams,
@@ -129,11 +128,8 @@ class TestWeightedBoxFusion:
         assert fused[0][0].x == pytest.approx((0.8 * 0 + 0.4 * 2) / 1.2)
         assert fused[0][1] == pytest.approx(0.6)
 
-    def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatchError):
-            weighted_box_fusion([[(BBox(0, 0, 1, 1), 0.5)]], 0.5, weights=[1, 1])
-        with pytest.raises(WeightMismatchError):
-            weighted_box_fusion([], 0.5)
+    def test_no_model_outputs_gives_empty(self):
+        assert weighted_box_fusion([], 0.5) == []
 
     def test_fused_box_inside_cluster_envelope(self):
         rng = random.Random(3)

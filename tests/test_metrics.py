@@ -13,17 +13,16 @@ from detsegeval.coco import (
 from detsegeval.errors import EmptyInputError
 from detsegeval.geometry import BBox, box_iou
 from detsegeval.metrics import (
+    HEADLINE_THRESHOLD,
+    THRESHOLDS,
     ConfusionCounts,
-    MetricConfig,
     MetricsReport,
     _box_iou_rows,
     _greedy_pairs,
     _greedy_tp_by_threshold,
     confusion_at,
-    default_threshold_range,
     evaluate,
     f_beta,
-    f_over_range,
     final_score,
     leaderboard,
     leaderboard_csv,
@@ -51,21 +50,12 @@ def _pred(score, bbox, idx=0):
     return PredictionInstance(1, score, 1, idx, bbox=BBox(*bbox))
 
 
-class TestMetricConfig:
+class TestThresholds:
     def test_default_range_has_12_values(self):
-        ts = default_threshold_range()
-        assert len(ts) == 12
-        assert ts[0] == 0.40 and ts[-1] == 0.95
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            MetricConfig(thresholds=(0.5, 0.4))
-        with pytest.raises(ValueError):
-            MetricConfig(thresholds=(0.0, 0.5))
-
-    def test_betas_are_not_configurable(self):
-        with pytest.raises(TypeError):
-            MetricConfig(betas=(1.0, 2.0))
+        assert len(THRESHOLDS) == 12
+        assert THRESHOLDS[0] == 0.40 and THRESHOLDS[-1] == 0.95
+        assert list(THRESHOLDS) == sorted(set(THRESHOLDS))
+        assert HEADLINE_THRESHOLD in THRESHOLDS
 
 
 class TestIouForTask:
@@ -157,7 +147,6 @@ _coord = st.one_of(st.integers(-8, 40).map(lambda v: v / 4),
                    st.floats(-10, 10, allow_nan=False, allow_infinity=False))
 _size = st.one_of(st.integers(1, 24).map(lambda v: v / 4),
                   st.floats(1e-3, 6, allow_nan=False, allow_infinity=False))
-_TAUS = MetricConfig().all_thresholds()
 _deterministic = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
@@ -210,12 +199,12 @@ class TestColumnarCore:
     def test_threshold_reuse_equals_per_threshold_greedy(self, data):
         # Values drawn from the thresholds themselves give ties and IoUs
         # exactly equal to a threshold.
-        value = st.one_of(st.sampled_from((0.0, 1.0) + _TAUS), st.floats(0, 1))
+        value = st.one_of(st.sampled_from((0.0, 1.0) + THRESHOLDS), st.floats(0, 1))
         n_gt = data.draw(st.integers(0, 6))
         rows = data.draw(st.lists(st.lists(value, min_size=n_gt, max_size=n_gt), max_size=6))
         taus = data.draw(st.one_of(
-            st.just(_TAUS),
-            st.lists(st.sampled_from(_TAUS) | st.floats(0.01, 1), min_size=1,
+            st.just(THRESHOLDS),
+            st.lists(st.sampled_from(THRESHOLDS) | st.floats(0.01, 1), min_size=1,
                      max_size=8, unique=True).map(sorted)))
         expected = [len(_greedy_pairs(rows, tau)) for tau in taus]
         assert _greedy_tp_by_threshold(rows, taus) == expected
@@ -286,6 +275,12 @@ class TestConfusion:
             c = confusion_at(ds, preds, tau)
             assert c.tp + c.fn == 4
             assert c.tp + c.fp == len(preds)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5])
+    def test_rejects_tau_outside_unit_interval(self, tmp_path, tau):
+        ds, preds = self._dataset_and_preds(tmp_path, [])
+        with pytest.raises(ValueError):
+            confusion_at(ds, preds, tau)
 
 
 class TestFBeta:
@@ -431,14 +426,6 @@ class TestEvaluate:
         report = evaluate(ds, preds)
         assert report.final == 100.0  # only the one good prediction survived
 
-    def test_task_mismatch_rejected(self, tmp_path):
-        gt = make_gt([image(1)], [])
-        ds = load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
-        preds = load_predictions(write_json_file(tmp_path / "p.json", []),
-                                 ds, "segmentation")
-        with pytest.raises(ValueError):
-            evaluate(ds, preds, MetricConfig(task="detection"))
-
 
 class TestFOverRange:
     def test_perfect_is_1(self, tmp_path):
@@ -448,20 +435,21 @@ class TestFOverRange:
             write_json_file(tmp_path / "p.json",
                             [det_pred(1, 1.0, [10, 10, 20, 20])]),
             ds, "detection")
-        assert f_over_range(ds, preds, MetricConfig(task="detection"), 1.0) == 1.0
+        report = evaluate(ds, preds)
+        assert report.f1_range == 100.0 and report.f2_range == 100.0
 
     def test_empty_is_0(self, tmp_path):
         gt = make_gt([image(1)], [annotation(1, 1, [10, 10, 20, 20])])
         ds = load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
         preds = load_predictions(write_json_file(tmp_path / "p.json", []),
                                  ds, "detection")
-        assert f_over_range(ds, preds, MetricConfig(task="detection"), 2.0) == 0.0
+        report = evaluate(ds, preds)
+        assert report.f1_range == 0.0 and report.f2_range == 0.0
 
 
 def _report(f1, f1r, f2, f2r):
     return MetricsReport(
-        task="detection", headline_threshold=0.5,
-        thresholds=default_threshold_range(), per_threshold=[],
+        task="detection", per_threshold=[],
         f1_headline=f1, f1_range=f1r, f2_headline=f2, f2_range=f2r,
         final=final_score(f1, f1r, f2, f2r), per_image={},
     )
