@@ -19,6 +19,7 @@ from .coco import (  # noqa: F401
 from .geometry import (  # noqa: F401
     BBox,
     PolygonSet,
+    RunMask,
     box_ioa,
     box_iou,
     connected_components,
@@ -28,6 +29,7 @@ from .geometry import (  # noqa: F401
     polygon_area,
     polygon_to_bbox,
     rasterize,
+    rasterize_runs,
     simplify_polygon,
     trace_largest_contour,
 )

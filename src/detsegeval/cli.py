@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions")
     p.add_argument("--task", choices=sorted(_TASKS), default="det")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="scores")
     p.set_defaults(func=cmd_score)
 
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("submissions", help="directory of prediction JSON files")
     p.add_argument("--task", choices=sorted(_TASKS), default="det")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="leaderboard")
     p.set_defaults(func=cmd_leaderboard)
 

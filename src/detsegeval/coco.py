@@ -27,11 +27,13 @@ from .errors import (
     SubmissionError,
     UnknownImageRefError,
 )
-from .geometry import BBox, PolygonSet, polygon_area, rasterize
+from .geometry import BBox, PolygonSet, polygon_area, rasterize_runs
 
 DETECTION = "detection"
 SEGMENTATION = "segmentation"
 TASKS = (DETECTION, SEGMENTATION)
+# Pixel centres i + 0.5 stay exact in float64 up to this side length.
+MAX_IMAGE_SIDE = 2 ** 52
 
 
 @dataclass(frozen=True)
@@ -165,20 +167,29 @@ def _require(obj: dict, key: str, location: str):
 
 
 def _number(value, cast):
-    """``cast(value)``, or None when the value is not a number.  JSON
-    ``true``/``false`` are not numbers, though ``bool`` subclasses ``int``."""
-    if isinstance(value, bool):
+    """``cast(value)``, or None unless the value is a JSON number of the
+    right kind.  Numeric strings and ``true``/``false`` are not numbers,
+    though ``bool`` subclasses ``int``; an ``int`` field takes an integer
+    or an integral float such as ``3.0``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if cast is int and isinstance(value, float) and not value.is_integer():
         return None
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         return None
+
+
+def _not_a_number(key: str, value, cast) -> str:
+    kind = "an integer" if cast is int and isinstance(value, float) else "a number"
+    return f"{key} {value!r} is not {kind}"
 
 
 def _finite_floats(values) -> Optional[list[float]]:
     """``values`` as floats, or None unless each is a JSON number with a
     finite float value (an integer too large for a float is not)."""
-    floats = [_number(v, float) if isinstance(v, (int, float)) else None for v in values]
+    floats = [_number(v, float) for v in values]
     if all(f is not None and math.isfinite(f) for f in floats):
         return floats
     return None
@@ -187,7 +198,7 @@ def _finite_floats(values) -> Optional[list[float]]:
 def _require_int(obj: dict, key: str, location: str) -> int:
     value = _number(_require(obj, key, location), int)
     if value is None:
-        raise MalformedJsonError(f"{location}: {key} {obj[key]!r} is not a number")
+        raise MalformedJsonError(f"{location}: {_not_a_number(key, obj[key], int)}")
     return value
 
 
@@ -266,8 +277,10 @@ def load_ground_truth(path) -> Dataset:
         file_name = str(_require(raw, "file_name", loc))
         if image_id in images:
             raise DuplicateImageIdError(f"{loc}: duplicate image id {image_id}")
-        if width < 1 or height < 1:
-            raise MalformedJsonError(f"{loc}: image dimensions must be >= 1")
+        if not (1 <= width <= MAX_IMAGE_SIDE and 1 <= height <= MAX_IMAGE_SIDE):
+            raise MalformedJsonError(
+                f"{loc}: image dimensions must be between 1 and {MAX_IMAGE_SIDE}, "
+                f"got {width}x{height}")
         images[image_id] = ImageRecord(image_id, width, height, file_name)
 
     instances: list[GroundTruthInstance] = []
@@ -330,7 +343,7 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
             if raw_image_id is None:
                 report.error("MissingField", "missing image_id", loc)
             else:
-                report.error("MalformedJson", f"image_id {raw_image_id!r} is not a number", loc)
+                report.error("MalformedJson", _not_a_number("image_id", raw_image_id, int), loc)
             report.instances_dropped += 1
             continue
         image_ids_seen.add(image_id)
@@ -345,7 +358,7 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
             if raw_score is None:
                 report.error("MissingField", "missing score", loc)
             else:
-                report.error("MalformedJson", f"score {raw_score!r} is not a number", loc)
+                report.error("MalformedJson", _not_a_number("score", raw_score, float), loc)
             ok = False
             score = 0.0
         elif not math.isfinite(score) or score < 0.0 or score > 1.0:
@@ -355,7 +368,7 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
         category_id = _number(raw.get("category_id", dataset.category_id), int)
         if category_id is None:
             report.error("MalformedJson",
-                         f"category_id {raw['category_id']!r} is not a number", loc)
+                         _not_a_number("category_id", raw["category_id"], int), loc)
             ok = False
         elif category_id != dataset.category_id:
             report.error("CategoryMismatch",
@@ -405,7 +418,7 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
                     report.error(exc.code, str(exc), loc)
                     ok = False
                 if poly is not None and image is not None:
-                    if not rasterize(poly, image.width, image.height).any():
+                    if rasterize_runs(poly, image.width, image.height).rows.size == 0:
                         report.error("DegeneratePayload",
                                      "polygon rasterizes to zero pixels at image resolution",
                                      loc)
@@ -454,26 +467,6 @@ def parse_predictions(source, dataset: Dataset, task: str
     report = ValidationReport()
     retained = _parse_prediction_items(data, dataset, task, report)
     return retained, report
-
-
-def dataset_to_dict(dataset: Dataset) -> dict:
-    return {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-            for im in dataset.images
-        ],
-        "annotations": [
-            {
-                "id": inst.id,
-                "image_id": inst.image_id,
-                "category_id": inst.category_id,
-                "bbox": inst.bbox.as_list(),
-                "segmentation": inst.segmentation.as_lists(),
-            }
-            for inst in dataset.instances
-        ],
-        "categories": [{"id": dataset.category_id, "name": dataset.category_name}],
-    }
 
 
 def predictions_to_list(preds: PredictionSet) -> list[dict]:

@@ -373,9 +373,9 @@ def _check_same_shape(masks: Sequence[np.ndarray]) -> None:
 PRESET_PARAM_OVERRIDES: dict[str, dict] = {
     "identity": {},
     "uno": {},
-    "sigmoid": {"wbf_iou": 0.45},
+    "sigmoid": {},
     "kmg": {},
-    "ntr": {"wbf_iou": 0.5, "open_kernel": 5, "open_iterations": 3},
+    "ntr": {"wbf_iou": 0.5},
     "visionx": {},
 }
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateRingError, DimensionMismatchError, EmptyMaskError
 
@@ -72,20 +71,28 @@ class PolygonSet:
         return [list(ring) for ring in self.rings]
 
 
-def _ring_points(ring: Ring) -> list[tuple[float, float]]:
+def _check_ring(ring: Ring) -> Ring:
     if len(ring) < 6 or len(ring) % 2 != 0:
         raise DegenerateRingError(
             f"ring needs at least 3 (x, y) vertices, got {len(ring)} coordinates"
         )
+    return ring
+
+
+def _ring_points(ring: Ring) -> list[tuple[float, float]]:
+    _check_ring(ring)
     return [(float(ring[i]), float(ring[i + 1])) for i in range(0, len(ring), 2)]
 
 
 def polygon_area(ring: Ring) -> float:
-    """Unsigned shoelace area of one ring (orientation independent)."""
+    """Unsigned shoelace area of one ring (orientation independent).  It
+    is taken about the first vertex, so a small ring far from the origin
+    keeps its area instead of cancelling to zero."""
     pts = _ring_points(ring)
+    x0, y0 = pts[0]
     acc = 0.0
     for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        acc += x1 * y2 - x2 * y1
+        acc += (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     return abs(acc) / 2.0
 
 
@@ -114,55 +121,141 @@ def polygon_to_bbox(poly: PolygonSet) -> BBox:
     return BBox(min(xs), min(ys), w, h)
 
 
-def _rasterize_ring(ring: Ring, width: int, height: int) -> np.ndarray:
-    pts = _ring_points(ring)
-    # Parity-flip accumulator: a crossing at x toggles every pixel whose
-    # center lies strictly to the right of it.
-    flips = np.zeros((height, width + 1), dtype=np.int64)
-    n = len(pts)
-    for k in range(n):
-        x1, y1 = pts[k]
-        x2, y2 = pts[(k + 1) % n]
-        if y1 == y2:
-            continue
-        ymin, ymax = (y1, y2) if y1 < y2 else (y2, y1)
-        i0 = max(0, math.ceil(ymin - 0.5))
-        i1 = min(height - 1, math.ceil(ymax - 0.5) - 1)
-        if i0 > i1:
-            continue
-        rows = np.arange(i0, i1 + 1)
-        yc = rows + 0.5
-        xc = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
-        # clamp before the int conversion so far-away crossings cannot overflow
-        np.clip(xc, -1.0, width + 1.0, out=xc)
-        cols = np.floor(xc - 0.5).astype(np.int64) + 1
-        np.clip(cols, 0, width, out=cols)
-        np.add.at(flips, (rows, cols), 1)
-    return (np.cumsum(flips[:, :width], axis=1) % 2).astype(bool)
+@dataclass(frozen=True, eq=False)
+class RunMask:
+    """A ``height x width`` mask stored as row runs: pixel ``(rows[k], c)``
+    is set for ``starts[k] <= c < ends[k]``.  Runs are sorted by
+    ``(row, start)`` and disjoint.  Rows and columns are kept apart rather
+    than folded into one flat index, which could overflow int64 on the
+    large frames the ground truth may declare."""
+
+    width: int
+    height: int
+    rows: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.height, self.width)
+
+    @property
+    def area(self) -> int:
+        return int((self.ends - self.starts).sum())
+
+    @classmethod
+    def from_array(cls, mask: np.ndarray) -> "RunMask":
+        height, width = mask.shape
+        padded = np.zeros((height, width + 2), dtype=np.int8)
+        padded[:, 1:-1] = np.asarray(mask, dtype=bool)
+        steps = np.diff(padded, axis=1)
+        rows, starts = np.nonzero(steps == 1)
+        ends = np.nonzero(steps == -1)[1]
+        return cls(width, height, rows, starts, ends)
+
+    def to_array(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=bool)
+        for r, s, e in zip(self.rows.tolist(), self.starts.tolist(), self.ends.tolist()):
+            out[r, s:e] = True
+        return out
 
 
-def rasterize(poly: PolygonSet, width: int, height: int) -> np.ndarray:
-    """Rasterize a polygon set onto a ``height x width`` grid.
+def _ring_runs(poly: PolygonSet, width: int, height: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Even-odd runs of every ring, as ``(row, start, end)`` arrays sorted
+    by ring, row and start; empty runs are dropped."""
+    pts = [np.array(_check_ring(ring), dtype=np.float64).reshape(-1, 2) for ring in poly.rings]
+    sizes = np.array([len(p) for p in pts], dtype=np.int64)
+    x1, y1 = np.concatenate(pts).T if pts else (np.empty(0), np.empty(0))
+    # Each vertex's successor along its own ring, wrapping at the ring's end.
+    nxt = np.arange(1, len(x1) + 1)
+    nxt[np.cumsum(sizes) - 1] = np.cumsum(sizes) - sizes
+    x2, y2 = x1[nxt], y1[nxt]
+    ring_of = np.repeat(np.arange(len(pts)), sizes)
+    # Edge e crosses the centers of rows i0..i1: those with ymin <= i + 0.5 < ymax.
+    i0 = np.maximum(0, np.ceil(np.minimum(y1, y2) - 0.5))
+    i1 = np.minimum(height - 1, np.ceil(np.maximum(y1, y2) - 0.5) - 1)
+    keep = (y1 != y2) & (i0 <= i1)
+    i0, counts = i0[keep].astype(np.int64), (i1 - i0)[keep].astype(np.int64) + 1
+    edge = np.repeat(np.arange(keep.sum()), counts)
+    rows = i0[edge] + (np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
+    x1, y1, x2, y2, ring_of = (v[keep][edge] for v in (x1, y1, x2, y2, ring_of))
+    yc = rows + 0.5
+    xc = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
+    # clamp before the int conversion so far-away crossings cannot overflow
+    np.clip(xc, -1.0, width + 1.0, out=xc)
+    # A crossing at x flips every pixel whose center lies strictly to its right.
+    cols = np.floor(xc - 0.5).astype(np.int64) + 1
+    np.clip(cols, 0, width, out=cols)
+    order = np.lexsort((cols, rows, ring_of))
+    # Each ring crosses each row center an even number of times, so
+    # consecutive flips pair up into that ring's runs.
+    rows, cols = rows[order], cols[order]
+    starts, ends = cols[0::2], cols[1::2]
+    nonempty = starts < ends
+    return rows[0::2][nonempty], starts[nonempty], ends[nonempty]
+
+
+def _sweep(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The run ends of ``(rows, starts, ends)`` in (row, col) order, as
+    ``(row, col, delta, cover)``: ``delta`` is +1 at a start and -1 at an
+    end, and ``cover`` counts the runs open just after each end.  lexsort
+    is stable and the starts come first, so at a tie a start precedes an
+    end."""
+    rows, cols = np.concatenate((rows, rows)), np.concatenate((starts, ends))
+    order = np.lexsort((cols, rows))
+    delta = np.repeat(np.array([1, -1], dtype=np.int64), len(starts))[order]
+    return rows[order], cols[order], delta, np.cumsum(delta)
+
+
+def rasterize_runs(poly: PolygonSet, width: int, height: int) -> RunMask:
+    """Rasterize a polygon set onto a ``height x width`` grid as row runs.
 
     A pixel is set iff its center is inside at least one ring under the
-    even-odd rule; geometry outside the grid is clipped.
+    even-odd rule; geometry outside the grid is clipped.  Memory grows
+    with the rows the polygon spans, not with the frame.
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
-    out = np.zeros((height, width), dtype=bool)
-    for ring in poly.rings:
-        out |= _rasterize_ring(ring, width, height)
-    return out
+    rows, starts, ends = _ring_runs(poly, width, height)
+    if len(poly.rings) > 1:
+        # Union of the rings: a run opens where the count rises to 1 and
+        # closes where it falls to 0.
+        rows, cols, delta, cover = _sweep(rows, starts, ends)
+        opens = (delta == 1) & (cover == 1)
+        rows, starts, ends = rows[opens], cols[opens], cols[(delta == -1) & (cover == 0)]
+    return RunMask(width, height, rows, starts, ends)
 
 
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Pixel-count IoU of two equally shaped masks; 0.0 when both empty."""
+def rasterize(poly: PolygonSet, width: int, height: int) -> np.ndarray:
+    """Rasterize a polygon set onto a ``height x width`` boolean frame;
+    the pixels are those of :func:`rasterize_runs`."""
+    return rasterize_runs(poly, width, height).to_array()
+
+
+def _run_intersection(a: RunMask, b: RunMask) -> int:
+    if not (a.rows.size and b.rows.size) or a.rows[-1] < b.rows[0] or b.rows[-1] < a.rows[0]:
+        return 0
+    # Both masks cover the span up to the next end wherever the count is
+    # 2.  The count is 0 at every row's last end, so no span reaches into
+    # the next row.
+    _, cols, _, cover = _sweep(np.concatenate((a.rows, b.rows)),
+                               np.concatenate((a.starts, b.starts)),
+                               np.concatenate((a.ends, b.ends)))
+    return int(np.diff(cols)[cover[:-1] == 2].sum())
+
+
+def mask_iou(a: np.ndarray | RunMask, b: np.ndarray | RunMask) -> float:
+    """Pixel-count IoU of two equally shaped masks, each a boolean array or
+    a :class:`RunMask`; 0.0 when both are empty."""
     if a.shape != b.shape:
         raise DimensionMismatchError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    union = int(np.logical_or(a, b).sum())
+    a, b = (m if isinstance(m, RunMask) else RunMask.from_array(m) for m in (a, b))
+    inter = _run_intersection(a, b)
+    union = a.area + b.area - inter
     if union == 0:
         return 0.0
-    inter = int(np.logical_and(a, b).sum())
     return inter / union
 
 
@@ -211,6 +304,8 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     area; ties broken by the (row, col) of the first set pixel in
     row-major scan order, so the output order is fully deterministic.
     """
+    from scipy import ndimage  # imported here: detection runs never load it
+
     labels, count = ndimage.label(mask, structure=_STRUCT_8)
     comps = []
     for lab in range(1, count + 1):
@@ -236,6 +331,8 @@ def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) ->
         raise ValueError("structuring element size must be odd and >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    from scipy import ndimage  # imported here: detection runs never load it
+
     structure = np.ones((size, size), dtype=bool)
     if op == "open":
         out = ndimage.binary_erosion(mask, structure, iterations=iterations, border_value=0)

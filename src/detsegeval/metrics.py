@@ -29,7 +29,7 @@ from .coco import (
     PredictionSet,
 )
 from .errors import EmptyInputError
-from .geometry import box_iou_columns, mask_iou, rasterize
+from .geometry import box_iou_columns, mask_iou, rasterize_runs
 
 # The challenge's definition: the composite score is the mean of F1 and
 # F2 at the headline threshold and over the 0.40:0.95 range.
@@ -84,8 +84,8 @@ def _box_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
 def _mask_iou_rows(preds: Sequence[PredictionInstance],
                    gts: Sequence[GroundTruthInstance],
                    image: ImageRecord) -> list[list[float]]:
-    pm = [rasterize(p.segmentation, image.width, image.height) for p in preds]
-    gm = [rasterize(g.segmentation, image.width, image.height) for g in gts]
+    pm = [rasterize_runs(p.segmentation, image.width, image.height) for p in preds]
+    gm = [rasterize_runs(g.segmentation, image.width, image.height) for g in gts]
     return [[mask_iou(p, g) for g in gm] for p in pm]
 
 

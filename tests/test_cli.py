@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import detsegeval
 from detsegeval.cli import main
 from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
 
@@ -29,6 +34,16 @@ def workspace(tmp_path):
         seg_pred(2, 0.8, [[10, 12, 40, 12, 40, 42, 10, 42]]),
     ])
     return tmp_path, gt_path, det_path, seg_path
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only mask fusion needs scipy, so detection runs never pay its import."""
+    src = str(Path(detsegeval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, detsegeval.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestValidate:
@@ -71,6 +86,14 @@ class TestValidate:
         data["images"].append(7)
         bad_gt = write_json_file(root / "bad_gt.json", data)
         assert run(["validate", bad_gt, det, "--task", "det"]) == 2
+
+    def test_numeric_string_gt_width_exit_2(self, workspace, capsys):
+        root, gt, det, _ = workspace
+        data = json.loads(gt.read_text())
+        data["images"][1]["width"] = "64"
+        bad_gt = write_json_file(root / "bad_gt.json", data)
+        assert run(["validate", bad_gt, det, "--task", "det"]) == 2
+        assert "images[1]: width '64' is not a number" in capsys.readouterr().err
 
     def test_huge_integer_in_bbox_is_located(self, workspace, tmp_path):
         root, gt, _, _ = workspace

@@ -1,14 +1,15 @@
 import json
 import random
+import re
 
 import pytest
 
 from detsegeval.coco import (
+    Dataset,
     PredictionSet,
     load_ground_truth,
     load_predictions,
     parse_predictions,
-    dataset_to_dict,
     predictions_to_list,
 )
 from detsegeval.errors import (
@@ -20,6 +21,27 @@ from detsegeval.errors import (
     UnknownImageRefError,
 )
 from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
+
+
+def dataset_to_dict(dataset: Dataset) -> dict:
+    """The inverse of ``load_ground_truth``, for round-trip tests."""
+    return {
+        "images": [
+            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
+            for im in dataset.images
+        ],
+        "annotations": [
+            {
+                "id": inst.id,
+                "image_id": inst.image_id,
+                "category_id": inst.category_id,
+                "bbox": inst.bbox.as_list(),
+                "segmentation": inst.segmentation.as_lists(),
+            }
+            for inst in dataset.instances
+        ],
+        "categories": [{"id": dataset.category_id, "name": dataset.category_name}],
+    }
 
 
 class TestLoadGroundTruth:
@@ -99,6 +121,28 @@ class TestLoadGroundTruth:
         with pytest.raises(MalformedJsonError, match=r"images\[0\].*width True is not a number"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("id", "1"), ("width", "80"), ("height", 40.5), ("height", True)])
+    def test_image_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        gt = make_gt([image(1)], [annotation(1, 1, [0, 0, 5, 5])])
+        gt["images"][0][field] = value
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError,
+                           match=re.escape(f"images[0]: {field} {value!r} is not")):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("width", [0, 2 ** 52 + 1, 10 ** 400])
+    def test_image_side_out_of_range_is_located(self, tmp_path, width):
+        gt = make_gt([image(1), image(2, width=width)], [annotation(1, 1, [0, 0, 5, 5])])
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match=r"images\[1\]: image dimensions"):
+            load_ground_truth(path)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        gt = make_gt([dict(image(1), width=80.0)], [annotation(1, 1, [0, 0, 5, 5])])
+        ds = load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
+        assert ds.images[0].width == 80 and type(ds.images[0].width) is int
+
     def test_duplicate_annotation_id(self, tmp_path):
         gt = make_gt([image(1)], [annotation(4, 1, [0, 0, 5, 5]),
                                   annotation(4, 1, [10, 10, 5, 5])])
@@ -156,6 +200,24 @@ class TestLoadPredictions:
         retained, report = parse_predictions([item], ds, "detection")
         assert retained == []
         assert [e.code for e in report.errors] == ["MalformedJson"] * 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("image_id", "1"), ("image_id", 1.7), ("score", "0.5"), ("category_id", "1")])
+    def test_numbers_must_be_json_numbers(self, tiny_gt_path, field, value):
+        ds = load_ground_truth(tiny_gt_path)
+        item = dict(det_pred(1, 0.5, [10, 10, 20, 20]), **{field: value})
+        retained, report = parse_predictions([item], ds, "detection")
+        assert retained == [] and report.instances_dropped == 1
+        assert [(e.code, e.location) for e in report.errors] == \
+               [("MalformedJson", "predictions[0]")]
+        assert f"{field} {value!r} is not" in report.errors[0].message
+
+    def test_integral_float_ids_are_kept(self, tiny_gt_path):
+        ds = load_ground_truth(tiny_gt_path)
+        item = det_pred(1.0, 1, [10, 10, 20, 20], category_id=1.0)
+        [kept], report = parse_predictions([item], ds, "detection")
+        assert report.ok
+        assert (kept.image_id, kept.score, kept.category_id) == (1, 1.0, 1)
 
     def test_score_out_of_range(self, tiny_gt_path, tmp_path):
         ds = load_ground_truth(tiny_gt_path)

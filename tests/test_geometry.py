@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detsegeval.errors import (
     DegenerateRingError,
@@ -12,6 +13,7 @@ from detsegeval.errors import (
 from detsegeval.geometry import (
     BBox,
     PolygonSet,
+    RunMask,
     box_ioa,
     box_iou,
     connected_components,
@@ -21,11 +23,12 @@ from detsegeval.geometry import (
     polygon_area,
     polygon_to_bbox,
     rasterize,
+    rasterize_runs,
     ring_perimeter,
     simplify_polygon,
     trace_largest_contour,
 )
-from reference_impl import point_in_ring
+from reference_impl import pixel_iou, point_in_ring, polygon_pixels
 
 
 def poly(*rings):
@@ -144,6 +147,68 @@ class TestMaskIou:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mask_iou(np.zeros((4, 4), bool), np.zeros((4, 5), bool))
+
+
+@st.composite
+def _framed_polygon_pair(draw):
+    """A small frame and two polygon sets on it.  Vertices lie on a
+    quarter-pixel grid that reaches past every frame edge, so pixel
+    centres, vertices on them, shared edges and clipping are common."""
+    side = st.one_of(st.just(1), st.integers(1, 16))
+    width, height = draw(side), draw(side)
+
+    def coord(extent):
+        return draw(st.integers(-12, 4 * extent + 12)) / 4
+
+    def rings():
+        return [[v for _ in range(draw(st.integers(3, 6)))
+                 for v in (coord(width), coord(height))]
+                for _ in range(draw(st.integers(1, 3)))]
+
+    return width, height, rings(), rings()
+
+
+class TestRunMask:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_framed_polygon_pair())
+    def test_runs_match_pixel_oracle(self, case):
+        width, height, rings_a, rings_b = case
+        runs_a = rasterize_runs(poly(*rings_a), width, height)
+        runs_b = rasterize_runs(poly(*rings_b), width, height)
+        painted_a, painted_b = runs_a.to_array(), runs_b.to_array()
+        pixels_a = polygon_pixels(rings_a, width, height)
+        pixels_b = polygon_pixels(rings_b, width, height)
+        assert {(int(r), int(c)) for r, c in np.argwhere(painted_a)} == pixels_a
+        assert np.array_equal(rasterize(poly(*rings_a), width, height), painted_a)
+        assert runs_a.area == len(pixels_a)
+        order = np.lexsort((runs_a.starts, runs_a.rows))
+        assert np.array_equal(order, np.arange(len(order)))
+        assert (runs_a.starts < runs_a.ends).all()
+        iou = mask_iou(runs_a, runs_b)
+        assert iou == mask_iou(painted_a, painted_b) == pixel_iou(pixels_a, pixels_b)
+
+    def test_array_round_trip(self):
+        m = np.zeros((5, 7), bool)
+        m[0, :] = True
+        m[2, 1:3] = m[2, 4:6] = True
+        m[4, 6] = True
+        runs = RunMask.from_array(m)
+        assert runs.rows.tolist() == [0, 2, 2, 4]
+        assert runs.starts.tolist() == [0, 1, 4, 6]
+        assert runs.ends.tolist() == [7, 3, 6, 7]
+        assert runs.area == int(m.sum())
+        assert np.array_equal(runs.to_array(), m)
+
+    def test_size_independent_of_frame(self):
+        square = poly([5, 5, 15, 5, 15, 15, 5, 15])
+        runs = rasterize_runs(square, 10 ** 12, 10 ** 12)
+        assert runs.rows.tolist() == list(range(5, 15))
+        assert runs.area == 100
+
+    def test_dimension_mismatch(self):
+        square = poly([0, 0, 2, 0, 2, 2, 0, 2])
+        with pytest.raises(DimensionMismatchError):
+            mask_iou(rasterize_runs(square, 4, 4), rasterize_runs(square, 5, 4))
 
 
 class TestBoxOverlap:

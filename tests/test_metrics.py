@@ -1,14 +1,17 @@
 import csv
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from detsegeval.coco import (
     PredictionInstance,
+    PredictionSet,
     load_ground_truth,
     load_predictions,
+    parse_predictions,
 )
 from detsegeval.errors import EmptyInputError
 from detsegeval.geometry import BBox, box_iou
@@ -28,7 +31,7 @@ from detsegeval.metrics import (
     leaderboard_csv,
     match_image,
 )
-from conftest import annotation, det_pred, image, make_gt, write_json_file
+from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
 import reference_impl as ref
 
 
@@ -425,6 +428,51 @@ class TestEvaluate:
                                  ds, "detection", lenient=True)
         report = evaluate(ds, preds)
         assert report.final == 100.0  # only the one good prediction survived
+
+
+def _square(x, y, side):
+    return [[x, y, x + side, y, x + side, y + side, x, y + side]]
+
+
+def _seg_report(tmp_path, width, height, x0, y0):
+    """Segmentation report for squares offset by ``(x0, y0)`` on a
+    ``width x height`` frame; the predictions overlap their ground truths
+    by a range of IoUs."""
+    gts = [annotation(k + 1, 1, [x0 + 20 * k, y0, 10, 10],
+                      segmentation=_square(x0 + 20 * k, y0, 10)) for k in range(3)]
+    ds = load_ground_truth(write_json_file(
+        tmp_path / f"gt_{width}.json", make_gt([image(1, width, height)], gts)))
+    items = [seg_pred(1, 0.9 - 0.1 * k, _square(x0 + 20 * k + k, y0 + k, 10))
+             for k in range(3)]
+    retained, report = parse_predictions(items, ds, "segmentation")
+    assert report.ok
+    return evaluate(ds, PredictionSet("segmentation", retained))
+
+
+class TestLargeFrames:
+    def test_validate_and_score_memory_is_bounded(self, tmp_path):
+        ring = [100, 50, 3900, 200, 3800, 3950, 300, 3700]
+        gt = make_gt([image(1, 4000, 4000)],
+                     [annotation(1, 1, [100, 50, 3800, 3900], segmentation=[ring])])
+        ds = load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
+        items = [seg_pred(1, 0.9, [ring]), seg_pred(1, 0.8, [[v + 7 for v in ring]])]
+        tracemalloc.start()
+        try:
+            retained, report = parse_predictions(items, ds, "segmentation")
+            result = evaluate(ds, PredictionSet("segmentation", retained))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and result.per_threshold[-1].counts.tp == 1
+        assert peak < 16 * 2 ** 20
+
+    def test_frames_past_int64_pixel_indices_score_exactly(self, tmp_path):
+        far = _seg_report(tmp_path, 2 ** 33, 2 ** 33, 2 ** 32, 2 ** 32)
+        near = _seg_report(tmp_path, 64, 64, 0, 0)
+        assert [tm.counts for tm in far.per_threshold] == \
+               [tm.counts for tm in near.per_threshold]
+        assert far.to_dict() == near.to_dict()
+        assert 0 < near.per_threshold[-1].counts.tp < near.per_threshold[0].counts.tp
 
 
 class TestFOverRange:
