@@ -18,13 +18,13 @@ from .coco import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     BBox,
+    Component,
     PolygonSet,
     RunMask,
     box_ioa,
     box_iou,
     connected_components,
     mask_iou,
-    mask_to_bbox,
     morphology,
     polygon_area,
     polygon_to_bbox,

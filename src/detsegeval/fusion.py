@@ -37,7 +37,6 @@ from .geometry import (
     box_iou,
     box_ioa,
     connected_components,
-    mask_to_bbox,
     morphology,
     polygon_to_bbox,
     rasterize,
@@ -213,13 +212,11 @@ def refine_segmentation(poly: PolygonSet, width: int, height: int,
     mask = rasterize(poly, width, height)
     if mask.any():
         mask = morphology(mask, "close", params.close_kernel, 1)
-    comps = [c for c in connected_components(mask)
-             if int(c.sum()) >= params.min_region_area]
-    if not comps:
+    comps = connected_components(mask)
+    if not comps or comps[0].area < params.min_region_area:
         return None
-    ring = trace_largest_contour(comps[0]).rings[0]
     try:
-        ring = simplify_polygon(ring, params.eps_ratio)
+        ring = simplify_polygon(comps[0].outer_ring(), params.eps_ratio)
     except DegenerateRingError:
         return None
     return PolygonSet((ring,))
@@ -239,10 +236,10 @@ def average_mask_ensemble(prob_masks: Sequence[np.ndarray],
     binary = mean >= params.ensemble_threshold
     out: list[ScoredPoly] = []
     for comp in connected_components(binary):
-        if int(comp.sum()) < params.ensemble_min_area:
+        if comp.area < params.ensemble_min_area:
             continue
-        ring = trace_largest_contour(comp).rings[0]
-        out.append((PolygonSet((ring,)), float(mean[comp].mean())))
+        score = float(mean[comp.window][comp.mask].mean())
+        out.append((PolygonSet((comp.outer_ring(),)), score))
     return out
 
 
@@ -370,21 +367,14 @@ def _check_same_shape(masks: Sequence[np.ndarray]) -> None:
 
 # --- pipeline presets ----------------------------------------------------------
 
-PRESET_PARAM_OVERRIDES: dict[str, dict] = {
-    "identity": {},
-    "uno": {},
-    "sigmoid": {},
-    "kmg": {},
-    "ntr": {"wbf_iou": 0.5},
-    "visionx": {},
-}
+PRESET_PARAM_OVERRIDES: dict[str, dict] = {"ntr": {"wbf_iou": 0.5}}
 
 
 def preset_params(preset: str, overrides: Optional[dict] = None) -> FusionParams:
     """Resolve parameters: built-in defaults < preset values < overrides."""
     if preset not in PRESETS:
         raise UnknownPresetError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    merged = dict(PRESET_PARAM_OVERRIDES[preset])
+    merged = dict(PRESET_PARAM_OVERRIDES.get(preset, {}))
     merged.update(overrides or {})
     return FusionParams().with_overrides(**merged)
 
@@ -508,13 +498,13 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
             if binary.any():
                 binary = morphology(binary, "open", params.refine_kernel, 1)
             for comp in connected_components(binary):
-                if int(comp.sum()) < params.min_region_area:
+                if comp.area < params.min_region_area:
                     continue
-                score = float(merged_map[comp].mean())
+                score = float(merged_map[comp.window][comp.mask].mean())
                 if task == SEGMENTATION:
-                    payload: object = trace_largest_contour(comp)
+                    payload: object = PolygonSet((comp.outer_ring(),))
                 else:
-                    payload = mask_to_bbox(comp)
+                    payload = comp.bbox
                 results.append((image.id, payload, score))
 
     instances = [

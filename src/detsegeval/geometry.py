@@ -297,24 +297,44 @@ def box_ioa(a: BBox, b: BBox) -> float:
     return (iw * ih) / b.area
 
 
-def connected_components(mask: np.ndarray) -> list[np.ndarray]:
-    """Split the foreground into 8-connected components.
+@dataclass(frozen=True, eq=False)
+class Component:
+    """One 8-connected component.  ``window`` is its tight ``(rows, cols)``
+    slice pair in the frame, and ``mask`` is that window with exactly the
+    component's own pixels set."""
 
-    Returns one boolean mask per component, sorted by descending pixel
-    area; ties broken by the (row, col) of the first set pixel in
-    row-major scan order, so the output order is fully deterministic.
-    """
+    window: tuple[slice, slice]
+    mask: np.ndarray
+    area: int
+
+    @property
+    def bbox(self) -> BBox:
+        """Tight box over the pixels, inclusive extents (1 px per pixel)."""
+        rows, cols = self.window
+        return BBox(float(cols.start), float(rows.start),
+                    float(cols.stop - cols.start), float(rows.stop - rows.start))
+
+    def outer_ring(self) -> tuple[float, ...]:
+        """Outer boundary in frame coordinates, as :func:`_trace_outer_ring`."""
+        rows, cols = self.window
+        return _trace_outer_ring(self.mask, cols.start, rows.start)
+
+
+def connected_components(mask: np.ndarray) -> list[Component]:
+    """Split the foreground into 8-connected components, sorted by
+    descending pixel area; ties are broken by the (row, col) of the first
+    set pixel in row-major scan order, which lies in the top row of the
+    component's window, so the output order is fully deterministic."""
     from scipy import ndimage  # imported here: detection runs never load it
 
-    labels, count = ndimage.label(mask, structure=_STRUCT_8)
+    labels, _ = ndimage.label(mask, structure=_STRUCT_8)
     comps = []
-    for lab in range(1, count + 1):
-        comp = labels == lab
-        area = int(comp.sum())
-        first = int(np.argmax(comp.ravel()))
-        comps.append((-area, divmod(first, mask.shape[1]), comp))
-    comps.sort(key=lambda item: (item[0], item[1]))
-    return [comp for _, _, comp in comps]
+    for lab, window in enumerate(ndimage.find_objects(labels), start=1):
+        sub = labels[window] == lab
+        comps.append(Component(window, sub, int(np.count_nonzero(sub))))
+    comps.sort(key=lambda c: (-c.area, c.window[0].start,
+                              c.window[1].start + int(np.argmax(c.mask[0]))))
+    return comps
 
 
 def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) -> np.ndarray:
@@ -343,8 +363,9 @@ def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) ->
     return out.astype(bool)
 
 
-def _trace_outer_ring(comp: np.ndarray) -> tuple[float, ...]:
-    """Trace the outer boundary of one component along pixel corners.
+def _trace_outer_ring(comp: np.ndarray, x0: int, y0: int) -> tuple[float, ...]:
+    """Trace the outer boundary of one component along pixel corners;
+    ``comp`` is a window whose top-left pixel sits at ``(x0, y0)``.
 
     Starts at the top-left corner of the first set pixel in scan order
     and walks with the foreground on the right-hand side, emitting a
@@ -386,7 +407,7 @@ def _trace_outer_ring(comp: np.ndarray) -> tuple[float, ...]:
         dx, dy = ndx, ndy
     flat: list[float] = []
     for vx, vy in verts:
-        flat.extend((float(vx), float(vy)))
+        flat.extend((float(vx + x0), float(vy + y0)))
     return tuple(flat)
 
 
@@ -396,10 +417,10 @@ def trace_largest_contour(mask: np.ndarray) -> PolygonSet:
     Interior holes are enclosed by the ring, so re-rasterizing yields
     the filled silhouette of that component.
     """
-    if not mask.any():
+    comps = connected_components(mask)
+    if not comps:
         raise EmptyMaskError("cannot trace an empty mask")
-    largest = connected_components(mask)[0]
-    return PolygonSet((_trace_outer_ring(largest),))
+    return PolygonSet((comps[0].outer_ring(),))
 
 
 def _point_segment_distance(px: float, py: float,
@@ -465,14 +486,3 @@ def simplify_polygon(ring: Ring, epsilon_ratio: float) -> tuple[float, ...]:
     for x, y in merged:
         flat.extend((x, y))
     return tuple(flat)
-
-
-def mask_to_bbox(mask: np.ndarray) -> BBox:
-    """Tight box over set pixels, inclusive pixel extents (1 px wide per pixel)."""
-    if not mask.any():
-        raise EmptyMaskError("cannot bound an empty mask")
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    r0, r1 = int(rows[0]), int(rows[-1])
-    c0, c1 = int(cols[0]), int(cols[-1])
-    return BBox(float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))

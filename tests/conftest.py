@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,19 @@ def write_json_file(path: Path, obj) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs.  scipy.ndimage is
+    imported first, so its one-off import is not counted."""
+    from scipy import ndimage  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_gt(images, annotations, category=(1, "rip_current")):

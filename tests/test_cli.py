@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import detsegeval
 from detsegeval.cli import main
+from detsegeval.fusion import PRESETS
 from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
 
 
@@ -229,6 +231,46 @@ class TestScore:
         assert run(["score", gt, det, "--task", "det", "--out", root / "m"]) == 0
         manifest = json.loads((root / "m" / "manifest.json").read_text())
         assert manifest["config"]["betas"] == [1.0, 2.0]
+
+
+# sha256 of every preset's fused output on the fixture of `golden_inputs`:
+# a refactor of fusion must leave these bytes as they are.
+GOLDEN_FUSED = {
+    ("identity", "det"): "b6242c76020164793557f5d2d2e458746dd64b6012213c8a9d7248d656550f8e",
+    ("identity", "seg"): "d8ad6ae28e2fb50bd72db64e91b995b995f2faab30fe0d33e5ffd667f406e373",
+    ("uno", "det"): "57aae7d869cd82a44208acc50d699d6cfa2fe40e197df0e47c903b7b7b665a4d",
+    ("uno", "seg"): "9631c4efa130b57533adcb397c28a6f3d09091a74b306491d342e3580c1bdf2d",
+    ("sigmoid", "det"): "2bef11f5cdf3c30bc5c4bf3073833b0b9b48dd9f2d27f49ef78ac03de1c1d1fd",
+    ("sigmoid", "seg"): "3fd83623b95b98738dcfac982c8f512f577289cc69187be3695faf2eca7c398f",
+    ("kmg", "det"): "f8cbef4c1c3571f6bf4b45a4f207dba3bb071e92f2f08a8b6c53f3710426c4d8",
+    ("kmg", "seg"): "d8ad6ae28e2fb50bd72db64e91b995b995f2faab30fe0d33e5ffd667f406e373",
+    ("ntr", "det"): "49b8d4d854c40c5c1c77c6901af1727e7775c2b08473391bdbddccadbb0a63ec",
+    ("ntr", "seg"): "17e7972d2ef50244d4efd785a4b1b9ffe6372f6973b1c7e2bd0b7e426af18fb1",
+    ("visionx", "det"): "21c75cc90eae24f8100e2a57f3020b9a9d5c043e5b140c6af67e582264b06a11",
+    ("visionx", "seg"): "a62eb049dfc6ba8d88d971fcf9d3ae766c68cf67c6ece443e5d01b9820fe1b17",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    """Two perturbations of one seed: the same ground truth, two
+    detection and two segmentation models."""
+    root = tmp_path_factory.mktemp("golden")
+    for name, perturbation in (("a", 0.15), ("b", 0.35)):
+        assert run(["gen-fixture", "--seed", 11, "--images", 8,
+                    "--perturbation", perturbation, "--out", root / name]) == 0
+    inputs = [root / k / f for f in ("pred_seg.json", "pred_det.json") for k in "ab"]
+    return root, root / "a" / "gt.json", inputs
+
+
+@pytest.mark.parametrize("task", ["det", "seg"])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_fused_output_matches_golden_digest(golden_inputs, preset, task):
+    root, gt, inputs = golden_inputs
+    out = root / f"fused_{preset}_{task}.json"
+    assert run(["fuse", gt, *inputs, "--preset", preset, "--task", task,
+                "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FUSED[preset, task]
 
 
 class TestFuse:

@@ -24,7 +24,15 @@ from detsegeval.fusion import (
     weighted_box_fusion,
 )
 from detsegeval.geometry import BBox, PolygonSet, box_iou, polygon_to_bbox, rasterize
-from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
+from conftest import (
+    annotation,
+    det_pred,
+    image,
+    make_gt,
+    seg_pred,
+    traced_peak_bytes,
+    write_json_file,
+)
 
 P = FusionParams()
 
@@ -225,6 +233,17 @@ class TestRefineSegmentation:
             assert second is not None
             assert np.array_equal(rasterize(first, 64, 64),
                                   rasterize(second, 64, 64))
+
+    def test_many_ring_polygon_memory_is_bounded(self):
+        # 27 x 27 disjoint 5 x 5 squares: one valid prediction with 729 rings
+        poly = PolygonSet.from_lists([[x, y, x + 5, y, x + 5, y + 5, x, y + 5]
+                                      for x in range(0, 297, 11) for y in range(0, 297, 11)])
+        out = []
+        peak = traced_peak_bytes(lambda: out.append(refine_segmentation(poly, 300, 300, P)))
+        # closing erodes the squares on the frame edge, so the first
+        # interior square is the largest region
+        assert out == [rect(11, 11, 5, 5)]
+        assert peak < 16 * 2**20
 
 
 class TestAverageMaskEnsemble:

@@ -18,7 +18,6 @@ from detsegeval.geometry import (
     box_iou,
     connected_components,
     mask_iou,
-    mask_to_bbox,
     morphology,
     polygon_area,
     polygon_to_bbox,
@@ -28,6 +27,7 @@ from detsegeval.geometry import (
     simplify_polygon,
     trace_largest_contour,
 )
+from conftest import traced_peak_bytes
 from reference_impl import pixel_iou, point_in_ring, polygon_pixels
 
 
@@ -258,6 +258,31 @@ class TestBoxOverlap:
             assert box_iou(a, b) == pytest.approx(mask_iou(ra, rb), abs=0.01)
 
 
+def painted(comp, shape):
+    """The component painted back into a full frame."""
+    frame = np.zeros(shape, bool)
+    frame[comp.window] = comp.mask
+    return frame
+
+
+def reference_components(mask):
+    """Full-frame components, one ``labels == lab`` frame per label,
+    ordered by (-area, first set pixel in row-major scan)."""
+    from scipy import ndimage
+
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), bool))
+    frames = [labels == lab for lab in range(1, count + 1)]
+    return sorted(frames, key=lambda f: (-int(f.sum()), int(np.argmax(f.ravel()))))
+
+
+@st.composite
+def _random_mask(draw):
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((height, width)) < density
+
+
 class TestConnectedComponents:
     def test_two_blocks(self):
         m = np.zeros((10, 10), bool)
@@ -265,7 +290,8 @@ class TestConnectedComponents:
         m[6:9, 6:9] = True
         comps = connected_components(m)
         assert len(comps) == 2
-        assert [int(c.sum()) for c in comps] == [9, 9]
+        assert [int(painted(c, m.shape).sum()) for c in comps] == [9, 9]
+        assert [c.area for c in comps] == [9, 9]
 
     def test_diagonal_touch(self):
         m = np.zeros((4, 4), bool)
@@ -283,7 +309,9 @@ class TestConnectedComponents:
             comps = connected_components(m)
             union = np.zeros_like(m)
             total = 0
-            for c in comps:
+            for comp in comps:
+                c = painted(comp, m.shape)
+                assert comp.area == int(c.sum())
                 assert not (union & c).any()  # pairwise disjoint
                 union |= c
                 total += int(c.sum())
@@ -296,8 +324,25 @@ class TestConnectedComponents:
         m[4:7, 0:3] = True    # 9 px
         m[0:2, 0:2] = True    # 4 px, first in scan order
         comps = connected_components(m)
-        assert int(comps[0].sum()) == 9
-        assert comps[1][0, 0] and comps[2][0, 8]
+        assert int(painted(comps[0], m.shape).sum()) == 9
+        assert painted(comps[1], m.shape)[0, 0] and painted(comps[2], m.shape)[0, 8]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_random_mask())
+    def test_matches_full_frame_reference(self, m):
+        comps = connected_components(m)
+        expected = reference_components(m)
+        assert len(comps) == len(expected)
+        for comp, frame in zip(comps, expected):
+            assert np.array_equal(painted(comp, m.shape), frame)
+            assert comp.bbox == polygon_to_bbox(PolygonSet((comp.outer_ring(),)))
+
+    def test_noisy_frame_memory_is_bounded(self):
+        m = np.random.default_rng(0).random((300, 300)) < 0.25
+        comps = []
+        peak = traced_peak_bytes(lambda: comps.extend(connected_components(m)))
+        assert len(comps) == 5561
+        assert peak < 16 * 2**20
 
 
 class TestMorphology:
@@ -370,7 +415,7 @@ class TestTraceContour:
                           for _ in range(18)], dtype=bool)
             if not m.any():
                 continue
-            largest = connected_components(m)[0]
+            largest = painted(connected_components(m)[0], m.shape)
             back = rasterize(trace_largest_contour(m), 18, 18)
             # filled silhouette: largest component plus its enclosed holes
             assert np.array_equal(back & largest, largest)
@@ -445,23 +490,21 @@ def _seg_dist(px, py, a, b):
 
 
 class TestMaskToBBox:
+    """The pixel box of a mask, read from its components' windows."""
+
     def test_single_pixel(self):
         m = np.zeros((10, 10), bool)
         m[3, 7] = True
-        assert mask_to_bbox(m) == BBox(7, 3, 1, 1)
+        assert connected_components(m)[0].bbox == BBox(7, 3, 1, 1)
 
     def test_block(self):
         m = np.zeros((10, 10), bool)
         m[2:6, 2:6] = True
-        assert mask_to_bbox(m) == BBox(2, 2, 4, 4)
+        assert connected_components(m)[0].bbox == BBox(2, 2, 4, 4)
 
     def test_full(self):
         m = np.ones((6, 9), bool)
-        assert mask_to_bbox(m) == BBox(0, 0, 9, 6)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyMaskError):
-            mask_to_bbox(np.zeros((4, 4), bool))
+        assert connected_components(m)[0].bbox == BBox(0, 0, 9, 6)
 
     def test_polygon_hull_contains_raster_hull_within_1px(self):
         rng = random.Random(31)
@@ -472,6 +515,9 @@ class TestMaskToBBox:
             if not m.any():
                 continue
             pb = polygon_to_bbox(p)
-            mb = mask_to_bbox(m)
-            assert mb.x >= pb.x - 1 and mb.y >= pb.y - 1
-            assert mb.x2 <= pb.x2 + 1 and mb.y2 <= pb.y2 + 1
+            # the raster hull is the union of the component boxes
+            boxes = [c.bbox for c in connected_components(m)]
+            x, y = min(b.x for b in boxes), min(b.y for b in boxes)
+            x2, y2 = max(b.x2 for b in boxes), max(b.y2 for b in boxes)
+            assert x >= pb.x - 1 and y >= pb.y - 1
+            assert x2 <= pb.x2 + 1 and y2 <= pb.y2 + 1
