@@ -14,6 +14,7 @@ whole prediction sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -92,6 +93,10 @@ class FusionParams:
             kinds = (int,) if f.type == "int" else (int, float)
             if isinstance(v, bool) or not isinstance(v, kinds):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
+            # An exact comparison with the largest float rejects NaN, the
+            # infinities and ints too large to convert to a float.
+            if f.type == "float" and not abs(v) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not math.isclose(self.w_seg + self.w_det, 1.0, abs_tol=1e-9):
             raise ValueError("w_seg + w_det must equal 1")
         for name in ("iou_gate", "penalty", "wbf_iou", "ensemble_threshold",
@@ -102,6 +107,14 @@ class FusionParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.min_region_area < 0 or self.ensemble_min_area < 0:
             raise ValueError("area floors must be >= 0")
+        if self.eps_ratio < 0:
+            raise ValueError(f"eps_ratio must be >= 0, got {self.eps_ratio}")
+        for name in ("close_kernel", "open_kernel", "refine_kernel"):
+            v = getattr(self, name)
+            if v < 1 or v % 2 == 0:
+                raise ValueError(f"{name} must be odd and >= 1, got {v}")
+        if self.open_iterations < 1:
+            raise ValueError(f"open_iterations must be >= 1, got {self.open_iterations}")
 
     def with_overrides(self, **overrides) -> "FusionParams":
         known = {f.name for f in fields(self)}

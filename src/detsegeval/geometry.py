@@ -320,6 +320,16 @@ class Component:
         return _trace_outer_ring(self.mask, cols.start, rows.start)
 
 
+def _foreground_window(mask: np.ndarray) -> tuple[slice, slice] | None:
+    """Tight ``(rows, cols)`` slice pair around the set pixels, or None
+    when no pixel is set."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def connected_components(mask: np.ndarray) -> list[Component]:
     """Split the foreground into 8-connected components, sorted by
     descending pixel area; ties are broken by the (row, col) of the first
@@ -327,10 +337,15 @@ def connected_components(mask: np.ndarray) -> list[Component]:
     component's window, so the output order is fully deterministic."""
     from scipy import ndimage  # imported here: detection runs never load it
 
-    labels, _ = ndimage.label(mask, structure=_STRUCT_8)
+    fg = _foreground_window(mask)
+    if fg is None:
+        return []
+    labels, _ = ndimage.label(mask[fg], structure=_STRUCT_8)
+    r0, c0 = fg[0].start, fg[1].start
     comps = []
-    for lab, window in enumerate(ndimage.find_objects(labels), start=1):
-        sub = labels[window] == lab
+    for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        sub = labels[rows, cols] == lab
+        window = (slice(rows.start + r0, rows.stop + r0), slice(cols.start + c0, cols.stop + c0))
         comps.append(Component(window, sub, int(np.count_nonzero(sub))))
     comps.sort(key=lambda c: (-c.area, c.window[0].start,
                               c.window[1].start + int(np.argmax(c.mask[0]))))
@@ -353,14 +368,30 @@ def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) ->
         raise ValueError("iterations must be >= 1")
     from scipy import ndimage  # imported here: detection runs never load it
 
-    structure = np.ones((size, size), dtype=bool)
-    if op == "open":
-        out = ndimage.binary_erosion(mask, structure, iterations=iterations, border_value=0)
-        out = ndimage.binary_dilation(out, structure, iterations=iterations, border_value=0)
-    else:
-        out = ndimage.binary_dilation(mask, structure, iterations=iterations, border_value=0)
-        out = ndimage.binary_erosion(out, structure, iterations=iterations, border_value=0)
-    return out.astype(bool)
+    mask = np.asarray(mask, dtype=bool)
+    out = np.zeros(mask.shape, dtype=bool)
+    # With background outside the grid, n passes of a k x k square are one
+    # square of side n*(k-1)+1, and that square is separable into row and
+    # column min/max passes (van Herk 1992; Gil & Werman 1993).  A side
+    # past the frame's shorter side reaches out of the grid from every
+    # pixel, so the erosion, and with it either op, is empty.
+    half = (size // 2) * iterations
+    side = 2 * half + 1
+    fg = _foreground_window(mask)
+    if fg is None or side > min(mask.shape):
+        return out
+    # Every pixel more than `half` from the foreground's window is
+    # background in the input, between the two stages and in the output,
+    # so the filters run on that window grown by `half`, clipped to the
+    # frame; out-of-grid pixels are the filters' zero `cval`.
+    (rows, cols), (h, w) = fg, mask.shape
+    win = (slice(max(rows.start - half, 0), min(rows.stop + half, h)),
+           slice(max(cols.start - half, 0), min(cols.stop + half, w)))
+    first, second = ((ndimage.minimum_filter, ndimage.maximum_filter) if op == "open"
+                     else (ndimage.maximum_filter, ndimage.minimum_filter))
+    sub = first(mask[win].view(np.uint8), size=side, mode="constant", cval=0)
+    out[win] = second(sub, size=side, mode="constant", cval=0)
+    return out
 
 
 def _trace_outer_ring(comp: np.ndarray, x0: int, y0: int) -> tuple[float, ...]:

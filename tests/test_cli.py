@@ -359,7 +359,17 @@ class TestFuse:
         ({"preset": "sigmoid", "params": {"seg_conf": "0.2"}}, []),
         ({"preset": "ntr", "params": {"open_iterations": True}}, []),
         ({"preset": "sigmoid", "params": {"wbf_iou": False}}, []),
-    ], ids=["float-for-int", "string-for-float", "bool-for-int", "bool-for-float"])
+        ({"preset": "sigmoid"}, ["eps_ratio=nan"]),
+        ({"preset": "sigmoid"}, ["eps_ratio=inf"]),
+        ({"preset": "sigmoid"}, ["w_seg=1" + "0" * 400]),
+        ({"preset": "sigmoid"}, ["eps_ratio=-0.1"]),
+        ({"preset": "ntr"}, ["open_kernel=4"]),
+        ({"preset": "sigmoid"}, ["close_kernel=0"]),
+        ({"preset": "visionx"}, ["refine_kernel=-3"]),
+        ({"preset": "ntr"}, ["open_iterations=0"]),
+    ], ids=["float-for-int", "string-for-float", "bool-for-int", "bool-for-float",
+            "nan-float", "inf-float", "int-past-float-range", "negative-eps-ratio",
+            "even-kernel", "zero-kernel", "negative-kernel", "zero-iterations"])
     def test_mistyped_parameter_exit_3(self, workspace, capsys, config, sets):
         root, gt, det, seg = workspace
         cfg = write_json_file(root / "pipeline.json", config)

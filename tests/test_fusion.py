@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -53,6 +54,14 @@ class TestFusionParams:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             FusionParams(w_seg=0.9, w_det=0.2)
+
+    @pytest.mark.parametrize("override", [
+        {"eps_ratio": math.nan}, {"eps_ratio": -0.1}, {"open_kernel": 4},
+        {"close_kernel": 0}, {"refine_kernel": -3}, {"open_iterations": 0},
+    ])
+    def test_unusable_values_rejected_up_front(self, override):
+        with pytest.raises(ValueError):
+            P.with_overrides(**override)
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import detsegeval
 from detsegeval.errors import (
     DegenerateRingError,
     DimensionMismatchError,
@@ -275,6 +281,45 @@ def reference_components(mask):
     return sorted(frames, key=lambda f: (-int(f.sum()), int(np.argmax(f.ravel()))))
 
 
+def reference_morphology(mask, op, size, iterations):
+    """``iterations`` passes of a ``size x size`` square erosion, then as
+    many of the dilation (the reverse for close); each pass is an AND or
+    an OR of the shifted copies of the zero-padded frame."""
+    r = size // 2
+    h, w = mask.shape
+
+    def step(a, erode):
+        padded = np.zeros((h + 2 * r, w + 2 * r), bool)
+        padded[r:r + h, r:r + w] = a
+        shifted = [padded[dy:dy + h, dx:dx + w] for dy in range(size) for dx in range(size)]
+        return (np.logical_and if erode else np.logical_or).reduce(shifted)
+
+    out = mask
+    for erode in ((True, False) if op == "open" else (False, True)):
+        for _ in range(iterations):
+            out = step(out, erode)
+    return out
+
+
+@st.composite
+def _morphology_case(draw):
+    """A frame (some shorter or narrower than a 5x5 element) holding a
+    rectangle flush with one chosen edge, a second free rectangle and
+    sparse noise."""
+    h, w = draw(st.sampled_from([(4, 40), (40, 4), (2, 30), (30, 2)])
+                | st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    for edge in (draw(st.sampled_from(["top", "bottom", "left", "right"])), None):
+        y0, y1 = sorted(rng.integers(0, h + 1, 2))
+        x0, x1 = sorted(rng.integers(0, w + 1, 2))
+        y0, y1 = {"top": (0, y1), "bottom": (y0, h)}.get(edge, (y0, y1))
+        x0, x1 = {"left": (0, x1), "right": (x0, w)}.get(edge, (x0, x1))
+        mask[y0:y1, x0:x1] = True
+    return mask, draw(st.sampled_from(["open", "close"])), \
+        draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 3))
+
+
 @st.composite
 def _random_mask(draw):
     height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
@@ -371,6 +416,45 @@ class TestMorphology:
                           for _ in range(20)], dtype=bool)
             once = morphology(m, "close", 3, 1)
             assert np.array_equal(morphology(once, "close", 3, 1), once)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_morphology_case())
+    def test_matches_shifted_square_reference(self, case):
+        mask, op, size, iterations = case
+        got = morphology(mask, op, size, iterations)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference_morphology(mask, op, size, iterations))
+
+    @pytest.mark.parametrize("op,size,iterations,expected", [
+        ("open", 5, 10**9, 0),
+        ("close", 5, 10**9, 0),
+        # Side 59 fits the 60-px frame; only pixels 29 px from every
+        # frame edge survive the closing's erosion.
+        ("close", 3, 29, 4),
+    ])
+    def test_large_elements_are_exact_and_bounded(self, op, size, iterations, expected):
+        m = np.zeros((60, 60), bool)
+        m[20:40, 12:50] = True
+        t0 = time.perf_counter()
+        got = morphology(m, op, size, iterations)
+        assert time.perf_counter() - t0 < 1.0
+        assert int(got.sum()) == expected
+        assert np.array_equal(got, reference_morphology(m, op, size, min(iterations, 60)))
+
+    def test_short_frame_loop_does_not_crash(self):
+        # scipy's iterated binary dilation has corrupted memory on 4-row
+        # frames with a 5x5 element; run the loop in a child process so a
+        # crash fails this test instead of ending the session.
+        code = ("import numpy as np\n"
+                "from detsegeval import morphology\n"
+                "m = np.zeros((4, 40), bool)\n"
+                "m[1:3, 5:30] = True\n"
+                "for _ in range(2000):\n"
+                "    morphology(m, 'close', 5, 2)\n"
+                "    morphology(m, 'close', 3, 1)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(detsegeval.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert proc.returncode == 0
 
     def test_invalid_args(self):
         m = np.zeros((4, 4), bool)
