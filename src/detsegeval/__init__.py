@@ -51,7 +51,6 @@ from .fusion import (  # noqa: F401
     detection_guided_filter,
     fuse_seg_det_scores,
     merge_boxes_iou_ioa,
-    nms,
     refine_segmentation,
     run_preset,
     soft_mask_merge,

@@ -1,5 +1,5 @@
 """Deterministic inference-time post-processing and ensemble fusion:
-confidence filtering, NMS, weighted box fusion, detection/segmentation
+confidence filtering, weighted box fusion, detection/segmentation
 score fusion, averaged-mask ensembling, segmentation refinement, IoU/IoA
 merging, cross-detector merging, detection-guided filtering and soft mask
 merging.
@@ -41,6 +41,7 @@ from .geometry import (
     morphology,
     polygon_to_bbox,
     rasterize,
+    rasterize_runs,
     simplify_polygon,
     trace_largest_contour,
 )
@@ -131,20 +132,6 @@ def confidence_filter(items: Sequence[tuple], threshold: float) -> list:
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("threshold must lie in [0, 1]")
     return [item for item in items if item[1] >= threshold]
-
-
-def nms(scored_boxes: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
-    """Greedy score-descending suppression; survivors keep their scores
-    and every surviving pair has IoU below the threshold."""
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError("iou_threshold must lie in (0, 1]")
-    order = sorted(range(len(scored_boxes)), key=lambda i: (-scored_boxes[i][1], i))
-    kept: list[int] = []
-    for i in order:
-        box = scored_boxes[i][0]
-        if all(box_iou(box, scored_boxes[j][0]) < iou_threshold for j in kept):
-            kept.append(i)
-    return [scored_boxes[i] for i in kept]
 
 
 def _box_sort_key(box: BBox, score: float):
@@ -404,13 +391,44 @@ def _derived_boxes(polys: Sequence[ScoredPoly]) -> list[ScoredBox]:
     return [(polygon_to_bbox(poly), score) for poly, score in polys]
 
 
-def _semantic_prob_mask(instances: Sequence[PredictionInstance],
-                        width: int, height: int) -> np.ndarray:
-    """Union of a model's instance masks as a binary probability map."""
-    mask = np.zeros((height, width), dtype=bool)
-    for inst in instances:
-        mask |= rasterize(inst.segmentation, width, height)
-    return mask.astype(np.float64)
+def _semantic_maps(models: Sequence[Sequence[PredictionInstance]], width: int,
+                   height: int, whole_frame: bool = False
+                   ) -> Optional[tuple[list[np.ndarray], int, int]]:
+    """Each model's union of instance masks as a 0/1 float64 map, all on
+    one window of the ``height x width`` frame, with the window's
+    top-left pixel ``(x0, y0)``; None when no model sets a pixel.
+
+    The window is the union of every model's foreground windows, so each
+    pixel outside it is 0 in every map, and so in every mean, maximum
+    and threshold above 0 of the maps.  A caller whose threshold lets 0
+    through passes ``whole_frame``."""
+    runs = [[rasterize_runs(inst.segmentation, width, height) for inst in insts]
+            for insts in models]
+    if whole_frame:
+        y0, y1, x0, x1 = 0, height, 0, width
+    else:
+        hit = [r for rs in runs for r in rs if r.rows.size]
+        if not hit:
+            return None
+        y0, y1 = min(int(r.rows[0]) for r in hit), max(int(r.rows[-1]) for r in hit) + 1
+        x0, x1 = min(int(r.starts.min()) for r in hit), max(int(r.ends.max()) for r in hit)
+    maps = []
+    for rs in runs:
+        m = np.zeros((y1 - y0, x1 - x0))
+        for r in rs:
+            for row, start, end in zip(r.rows.tolist(), r.starts.tolist(), r.ends.tolist()):
+                m[row - y0, start - x0:end - x0] = 1.0
+        maps.append(m)
+    return maps, x0, y0
+
+
+def _to_frame(payload: PolygonSet | BBox, x0: int, y0: int) -> PolygonSet | BBox:
+    """Move a window's polygon or box to frame coordinates.  Every
+    coordinate and offset is an integer, so the sums are exact."""
+    if isinstance(payload, BBox):
+        return BBox(payload.x + x0, payload.y + y0, payload.w, payload.h)
+    return PolygonSet(tuple(tuple((np.reshape(ring, (-1, 2)) + (x0, y0)).ravel().tolist())
+                            for ring in payload.rings))
 
 
 def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
@@ -446,11 +464,14 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
                     results.append((image.id, payload, inst.score))
 
         elif preset == "uno":
-            prob = [_semantic_prob_mask(insts, w, h) for insts in segs_img]
-            instances = average_mask_ensemble(prob, params)
-            for poly, score in instances:
+            maps = _semantic_maps(segs_img, w, h,
+                                  whole_frame=params.ensemble_threshold <= 0)
+            if maps is None:
+                continue
+            prob, x0, y0 = maps
+            for poly, score in average_mask_ensemble(prob, params):
                 payload = poly if task == SEGMENTATION else polygon_to_bbox(poly)
-                results.append((image.id, payload, score))
+                results.append((image.id, _to_frame(payload, x0, y0), score))
 
         elif preset == "sigmoid":
             refined: list[ScoredPoly] = []
@@ -505,9 +526,15 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
                         results.append((image.id, poly, inst.score))
 
         elif preset == "visionx":
-            prob = [_semantic_prob_mask(insts, w, h) for insts in segs_img]
+            maps = _semantic_maps(segs_img, w, h)
+            if maps is None:
+                continue
+            prob, x0, y0 = maps
             merged_map = soft_mask_merge(prob, params.overlap_gate)
             binary = merged_map >= 0.5
+            # An opening is exact on the window: its erosion needs a full
+            # side x side square of foreground, which a window shorter
+            # than the side cannot hold.  A closing would not be.
             if binary.any():
                 binary = morphology(binary, "open", params.refine_kernel, 1)
             for comp in connected_components(binary):
@@ -518,7 +545,7 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
                     payload: object = PolygonSet((comp.outer_ring(),))
                 else:
                     payload = comp.bbox
-                results.append((image.id, payload, score))
+                results.append((image.id, _to_frame(payload, x0, y0), score))
 
     instances = [
         PredictionInstance(

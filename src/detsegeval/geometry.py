@@ -404,41 +404,40 @@ def _trace_outer_ring(comp: np.ndarray, x0: int, y0: int) -> tuple[float, ...]:
     the component's hole-filled silhouette exactly.
     """
     h, w = comp.shape
-    first = int(np.argmax(comp.ravel()))
-    r0, c0 = divmod(first, w)
-
-    def fg(r: int, c: int) -> bool:
-        return 0 <= r < h and 0 <= c < w and bool(comp[r, c])
-
-    start = (c0, r0)
-    x, y = start
-    dx, dy = 1, 0  # heading right along the top edge of the start pixel
-    verts: list[tuple[int, int]] = [start]
+    # One zero pixel of padding on every side, so the pixels around any
+    # corner the walk reaches are in the buffer.  Corner (x, y) is
+    # position p = (y + 1) * W + x + 1, the index of the pixel below and
+    # to its right; the other three pixels around it are p - 1, p - W
+    # and p - W - 1.
+    W = w + 2
+    padded = np.zeros((h + 2, W), dtype=np.uint8)
+    padded[1:-1, 1:-1] = comp
+    buf = padded.tobytes()
+    # Headings clockwise from "right": the step between corners, and the
+    # pixels ahead-left and ahead-right of the corner reached.
+    steps = (1, W, -1, -W)
+    lefts = (-W, 0, -1, -W - 1)
+    rights = (0, -1, -W - 1, -W)
+    start = p = buf.index(1)  # top-left corner of the first set pixel
+    d = 0
+    step, left, right = steps[d], lefts[d], rights[d]
+    verts = [start]
     while True:
-        x += dx
-        y += dy
-        if (x, y) == start:
+        p += step
+        if p == start:
             break
-        if (dx, dy) == (1, 0):
-            left, right = fg(y - 1, x), fg(y, x)
-        elif (dx, dy) == (0, 1):
-            left, right = fg(y, x), fg(y, x - 1)
-        elif (dx, dy) == (-1, 0):
-            left, right = fg(y, x - 1), fg(y - 1, x - 1)
+        if buf[p + left]:
+            d = (d - 1) & 3
+        elif buf[p + right]:
+            continue
         else:
-            left, right = fg(y - 1, x - 1), fg(y - 1, x)
-        if left:
-            ndx, ndy = dy, -dx
-        elif right:
-            ndx, ndy = dx, dy
-        else:
-            ndx, ndy = -dy, dx
-        if (ndx, ndy) != (dx, dy):
-            verts.append((x, y))
-        dx, dy = ndx, ndy
+            d = (d + 1) & 3
+        step, left, right = steps[d], lefts[d], rights[d]
+        verts.append(p)
     flat: list[float] = []
-    for vx, vy in verts:
-        flat.extend((float(vx + x0), float(vy + y0)))
+    for p in verts:
+        y, x = divmod(p, W)
+        flat.extend((float(x - 1 + x0), float(y - 1 + y0)))
     return tuple(flat)
 
 
@@ -454,21 +453,17 @@ def trace_largest_contour(mask: np.ndarray) -> PolygonSet:
     return PolygonSet((comps[0].outer_ring(),))
 
 
-def _point_segment_distance(px: float, py: float,
-                            ax: float, ay: float,
-                            bx: float, by: float) -> float:
-    dx, dy = bx - ax, by - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
 def _rdp_chain(pts: list[tuple[float, float]], eps: float) -> list[tuple[float, float]]:
-    """Iterative Ramer-Douglas-Peucker on an open chain (keeps endpoints)."""
+    """Iterative Ramer-Douglas-Peucker on an open chain (keeps endpoints).
+
+    The distance from a point to segment ``a``-``b`` is to its closest
+    point ``a + t * (b - a)``, with ``t`` clamped to [0, 1]; for a
+    zero-length segment it is the distance to ``a``.  The first farthest
+    point of a segment is kept when it lies farther than ``eps``."""
     n = len(pts)
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    hypot = math.hypot
     keep = [False] * n
     keep[0] = keep[-1] = True
     stack = [(0, n - 1)]
@@ -476,13 +471,27 @@ def _rdp_chain(pts: list[tuple[float, float]], eps: float) -> list[tuple[float, 
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        ax, ay = pts[lo]
-        bx, by = pts[hi]
+        ax, ay = xs[lo], ys[lo]
+        dx, dy = xs[hi] - ax, ys[hi] - ay
+        seg_len2 = dx * dx + dy * dy
         dmax, imax = -1.0, lo
-        for i in range(lo + 1, hi):
-            d = _point_segment_distance(pts[i][0], pts[i][1], ax, ay, bx, by)
-            if d > dmax:
-                dmax, imax = d, i
+        if seg_len2 == 0:
+            for i in range(lo + 1, hi):
+                d = hypot(xs[i] - ax, ys[i] - ay)
+                if d > dmax:
+                    dmax, imax = d, i
+        else:
+            for i in range(lo + 1, hi):
+                px, py = xs[i], ys[i]
+                t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
+                # min(1.0, max(0.0, t)), which maps -0.0 and NaN to 0.0
+                if t > 1.0:
+                    t = 1.0
+                elif not t > 0.0:
+                    t = 0.0
+                d = hypot(px - (ax + t * dx), py - (ay + t * dy))
+                if d > dmax:
+                    dmax, imax = d, i
         if dmax > eps:
             keep[imax] = True
             stack.append((lo, imax))

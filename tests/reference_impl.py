@@ -173,3 +173,100 @@ def max_matching_size(iou_rows, tau):
         return result
 
     return best(0, 0)
+
+
+def trace_outer_ring(comp, x0, y0):
+    """Outer boundary of the component holding the first set pixel of the
+    2-D array ``comp`` (top-left pixel at ``(x0, y0)``), walked one unit
+    edge at a time along pixel corners with the foreground on the right;
+    a vertex at every turn, as a flat float tuple."""
+    h, w = comp.shape
+    r0, c0 = next((r, c) for r in range(h) for c in range(w) if comp[r, c])
+
+    def fg(r, c):
+        return 0 <= r < h and 0 <= c < w and bool(comp[r, c])
+
+    start = (c0, r0)
+    x, y = start
+    dx, dy = 1, 0  # heading right along the top edge of the start pixel
+    verts = [start]
+    while True:
+        x += dx
+        y += dy
+        if (x, y) == start:
+            break
+        if (dx, dy) == (1, 0):
+            left, right = fg(y - 1, x), fg(y, x)
+        elif (dx, dy) == (0, 1):
+            left, right = fg(y, x), fg(y, x - 1)
+        elif (dx, dy) == (-1, 0):
+            left, right = fg(y, x - 1), fg(y - 1, x - 1)
+        else:
+            left, right = fg(y - 1, x - 1), fg(y - 1, x)
+        if left:
+            ndx, ndy = dy, -dx
+        elif right:
+            ndx, ndy = dx, dy
+        else:
+            ndx, ndy = -dy, dx
+        if (ndx, ndy) != (dx, dy):
+            verts.append((x, y))
+        dx, dy = ndx, ndy
+    flat = []
+    for vx, vy in verts:
+        flat.extend((float(vx + x0), float(vy + y0)))
+    return tuple(flat)
+
+
+def point_segment_distance(px, py, ax, ay, bx, by):
+    dx, dy = bx - ax, by - ay
+    seg_len2 = dx * dx + dy * dy
+    if seg_len2 == 0:
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
+    t = min(1.0, max(0.0, t))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def rdp_chain(pts, eps):
+    """Iterative Ramer-Douglas-Peucker on an open chain of (x, y) tuples
+    (keeps endpoints), one distance call per point and segment."""
+    n = len(pts)
+    keep = [False] * n
+    keep[0] = keep[-1] = True
+    stack = [(0, n - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        ax, ay = pts[lo]
+        bx, by = pts[hi]
+        dmax, imax = -1.0, lo
+        for i in range(lo + 1, hi):
+            d = point_segment_distance(pts[i][0], pts[i][1], ax, ay, bx, by)
+            if d > dmax:
+                dmax, imax = d, i
+        if dmax > eps:
+            keep[imax] = True
+            stack.append((lo, imax))
+            stack.append((imax, hi))
+    return [p for p, k in zip(pts, keep) if k]
+
+
+def simplify_polygon(ring, epsilon_ratio):
+    """Closed-ring Douglas-Peucker with tolerance ``epsilon_ratio`` times
+    the perimeter: split at vertex 0 and the first vertex farthest from
+    it, simplify both chains with :func:`rdp_chain`, drop each chain's
+    last point.  Returns None when fewer than 3 vertices survive."""
+    pts = [(float(ring[i]), float(ring[i + 1])) for i in range(0, len(ring), 2)]
+    if epsilon_ratio == 0:
+        return tuple(float(v) for v in ring)
+    perimeter = sum(math.hypot(x2 - x1, y2 - y1)
+                    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    eps = epsilon_ratio * perimeter
+    x0, y0 = pts[0]
+    far = max(range(1, len(pts)), key=lambda i: (pts[i][0] - x0) ** 2 + (pts[i][1] - y0) ** 2)
+    merged = rdp_chain(pts[: far + 1], eps)[:-1] + rdp_chain(pts[far:] + [pts[0]], eps)[:-1]
+    if len(merged) < 3:
+        return None
+    return tuple(v for p in merged for v in p)

@@ -3,8 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from detsegeval.coco import load_ground_truth, load_predictions
+from detsegeval.coco import (
+    DETECTION,
+    SEGMENTATION,
+    Dataset,
+    ImageRecord,
+    PredictionInstance,
+    PredictionSet,
+    load_ground_truth,
+    load_predictions,
+)
 from detsegeval.errors import (
     DimensionMismatchError,
     UnknownPresetError,
@@ -17,14 +27,21 @@ from detsegeval.fusion import (
     detection_guided_filter,
     fuse_seg_det_scores,
     merge_boxes_iou_ioa,
-    nms,
     preset_params,
     refine_segmentation,
     run_preset,
     soft_mask_merge,
     weighted_box_fusion,
 )
-from detsegeval.geometry import BBox, PolygonSet, box_iou, polygon_to_bbox, rasterize
+from detsegeval.geometry import (
+    BBox,
+    PolygonSet,
+    box_iou,
+    connected_components,
+    morphology,
+    polygon_to_bbox,
+    rasterize,
+)
 from conftest import (
     annotation,
     det_pred,
@@ -92,35 +109,6 @@ class TestConfidenceFilter:
         items = [(None, round(rng.random(), 3)) for _ in range(50)]
         once = confidence_filter(items, 0.4)
         assert confidence_filter(once, 0.4) == once
-
-
-class TestNms:
-    def test_identical_boxes_keep_best(self):
-        boxes = [(BBox(0, 0, 10, 10), 0.9), (BBox(0, 0, 10, 10), 0.8)]
-        assert nms(boxes, 0.5) == [boxes[0]]
-
-    def test_disjoint_all_survive(self):
-        boxes = [(BBox(0, 0, 5, 5), 0.9), (BBox(20, 20, 5, 5), 0.1)]
-        assert len(nms(boxes, 0.5)) == 2
-
-    def test_overlap_chain(self):
-        a = BBox(0, 0, 10, 10)
-        b = BBox(0, 5, 10, 10)    # IoU(a, b) = 0.5... actually 1/3
-        c = BBox(0, 10, 10, 10)
-        assert box_iou(a, c) == 0.0
-        boxes = [(a, 0.9), (b, 0.8), (c, 0.7)]
-        survivors = nms(boxes, 0.3)
-        assert [s for _, s in survivors] == [0.9, 0.7]
-
-    def test_pairwise_below_threshold(self):
-        rng = random.Random(2)
-        boxes = [(BBox(rng.uniform(0, 40), rng.uniform(0, 40),
-                       rng.uniform(4, 20), rng.uniform(4, 20)),
-                  round(rng.random(), 3)) for _ in range(30)]
-        survivors = nms(boxes, 0.45)
-        for i, (ba, _) in enumerate(survivors):
-            for bb, _ in survivors[i + 1:]:
-                assert box_iou(ba, bb) < 0.45
 
 
 class TestWeightedBoxFusion:
@@ -489,3 +477,135 @@ class TestPresets:
             got = [(p.bbox, p.score) for p in out.instances_for(img_id)]
             assert sorted(got, key=lambda e: -e[1]) == \
                    sorted(exp, key=lambda e: -e[1])
+
+
+def _full_frame_fuse(preset, dataset, inputs, task, params):
+    """uno and visionx on full frames: each model's semantic map is the
+    union of its instances' full-frame masks, as a 0/1 float64 frame.
+    Returns ``(image_id, payload, score)`` in the fused set's order."""
+    seg_sets = [s for s in inputs if s.task == SEGMENTATION]
+    out = []
+    for image in dataset.images:
+        w, h = image.width, image.height
+        prob = []
+        for s in seg_sets:
+            mask = np.zeros((h, w), dtype=bool)
+            for inst in s.instances_for(image.id):
+                mask |= rasterize(inst.segmentation, w, h)
+            prob.append(mask.astype(np.float64))
+        if preset == "uno":
+            for poly, score in average_mask_ensemble(prob, params):
+                payload = poly if task == SEGMENTATION else polygon_to_bbox(poly)
+                out.append((image.id, payload, score))
+            continue
+        merged_map = soft_mask_merge(prob, params.overlap_gate)
+        binary = merged_map >= 0.5
+        if binary.any():
+            binary = morphology(binary, "open", params.refine_kernel, 1)
+        for comp in connected_components(binary):
+            if comp.area < params.min_region_area:
+                continue
+            score = float(merged_map[comp.window][comp.mask].mean())
+            payload = PolygonSet((comp.outer_ring(),)) if task == SEGMENTATION else comp.bbox
+            out.append((image.id, payload, score))
+    order = sorted(range(len(out)), key=lambda k: (out[k][0], -out[k][2], k))
+    return [out[k] for k in order]
+
+
+def _scene(frames, models):
+    """A dataset of ``frames`` ``(width, height)`` and one segmentation
+    set per model; ``models[m][i]`` lists model m's polygons on image i."""
+    ds = Dataset([ImageRecord(i + 1, w, h, f"{i + 1}.jpg") for i, (w, h) in enumerate(frames)],
+                 [], 1, "rip_current")
+    sets = []
+    for per_image in models:
+        insts = [PredictionInstance(i + 1, 0.5 + 0.01 * k, 1, k, segmentation=poly)
+                 for i, polys in enumerate(per_image) for k, poly in enumerate(polys)]
+        sets.append(PredictionSet(SEGMENTATION, insts))
+    return ds, sets
+
+
+def _check_against_full_frame(preset, ds, sets, params):
+    for task in (SEGMENTATION, DETECTION):
+        fused = run_preset(preset, ds, sets, task, params)
+        got = [(p.image_id, p.segmentation if task == SEGMENTATION else p.bbox, p.score)
+               for p in fused.instances]
+        assert got == _full_frame_fuse(preset, ds, sets, task, params)
+
+
+@st.composite
+def _window_case(draw):
+    """Frames of 6-40 px holding rectangles and random rings per model,
+    some reaching past the frame edge and some models with nothing."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = [(int(rng.integers(6, 41)), int(rng.integers(6, 41)))
+              for _ in range(draw(st.integers(1, 3)))]
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        per_image = []
+        for w, h in frames:
+            polys = []
+            for _ in range(int(rng.integers(0, 4))):
+                if rng.random() < 0.6:
+                    x0, x1 = sorted(rng.integers(-3, w + 4, 2))
+                    y0, y1 = sorted(rng.integers(-3, h + 4, 2))
+                    polys.append(rect(int(x0), int(y0), int(x1 - x0) + 1, int(y1 - y0) + 1))
+                else:
+                    n = int(rng.integers(3, 8))
+                    xs = rng.integers(-2, w + 3, n) + rng.integers(0, 4, n) / 4
+                    ys = rng.integers(-2, h + 3, n) + rng.integers(0, 4, n) / 4
+                    polys.append(PolygonSet.from_lists(
+                        [[float(v) for xy in zip(xs, ys) for v in xy]]))
+            per_image.append(polys)
+        models.append(per_image)
+    params = P.with_overrides(
+        ensemble_threshold=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        ensemble_min_area=draw(st.sampled_from([0, 4, 100])),
+        min_region_area=draw(st.sampled_from([0, 4, 24])),
+        overlap_gate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        refine_kernel=draw(st.sampled_from([1, 3, 5, 9])),
+    )
+    return frames, models, params
+
+
+class TestSemanticWindow:
+    """uno and visionx paint the semantic maps on the union of the
+    models' foreground windows; the fused output is that of full frames."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_window_case(), st.sampled_from(["uno", "visionx"]))
+    def test_matches_full_frame(self, case, preset):
+        frames, models, params = case
+        ds, sets = _scene(frames, models)
+        _check_against_full_frame(preset, ds, sets, params)
+
+    @pytest.mark.parametrize("preset", ["uno", "visionx"])
+    @pytest.mark.parametrize("models,params", [
+        # the second image has no seg instance in any model
+        ([[[rect(4, 4, 20, 20)], []], [[rect(6, 5, 20, 20)], []]], {}),
+        # ... and an all-zero frame passes the uno threshold 0
+        ([[[rect(4, 4, 20, 20)], []]], {"ensemble_threshold": 0.0}),
+        # blobs flush with the frame's corners
+        ([[[rect(0, 0, 16, 12), rect(30, 28, 10, 12)], [rect(-5, 30, 20, 20)]]], {}),
+        # models with disjoint windows
+        ([[[rect(1, 2, 12, 12)]], [[rect(25, 24, 12, 14)]]], {"overlap_gate": 0.0}),
+        # a 6 px tall window: a 9 px opening fits the frame, not the window
+        ([[[rect(2, 10, 34, 6)]], [[rect(3, 10, 33, 6)]]],
+         {"refine_kernel": 9, "min_region_area": 0}),
+        ([[[rect(2, 10, 34, 6)]], [[rect(3, 10, 33, 6)]]],
+         {"refine_kernel": 5, "min_region_area": 0}),
+    ])
+    def test_named_cases(self, preset, models, params):
+        ds, sets = _scene([(40, 40), (40, 40)][:len(models[0])], models)
+        _check_against_full_frame(preset, ds, sets, P.with_overrides(**params))
+
+    @pytest.mark.parametrize("preset", ["uno", "visionx"])
+    def test_big_frame_memory_is_bounded(self, preset):
+        # one full 3000 x 3000 float64 map alone would take 72 MB
+        blobs = [[rect(100 + 40 * k, 200 + 30 * k, 24, 20) for k in range(5)]]
+        ds, sets = _scene([(3000, 3000)], [blobs, blobs])
+        out = []
+        peak = traced_peak_bytes(lambda: out.append(
+            run_preset(preset, ds, sets, SEGMENTATION, preset_params(preset))))
+        assert len(out[0].instances) == 5
+        assert peak < 8 * 2**20

@@ -33,7 +33,9 @@ from detsegeval.geometry import (
     simplify_polygon,
     trace_largest_contour,
 )
+from detsegeval.geometry import _rdp_chain, _trace_outer_ring
 from conftest import traced_peak_bytes
+import reference_impl as ref
 from reference_impl import pixel_iou, point_in_ring, polygon_pixels
 
 
@@ -514,6 +516,96 @@ class TestTraceContour:
             holes = outside & ~np.isin(labels, sorted(border_labels))
             filled = largest | holes[1:-1, 1:-1]
             assert np.array_equal(back, filled)
+
+
+@st.composite
+def _tracer_case(draw):
+    """A non-empty window of one of the shapes the tracer must walk,
+    with a window origin that is often non-zero."""
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "holes", "corners", "line", "pixel", "flush"]))
+    if kind == "noise":
+        mask = rng.random((h, w)) < draw(st.sampled_from([0.2, 0.5, 0.8]))
+    elif kind == "holes":  # a solid block with pixels knocked out of it
+        mask = np.zeros((h, w), bool)
+        mask[rng.integers(0, h // 3 + 1):, rng.integers(0, w // 3 + 1):] = True
+        mask &= rng.random((h, w)) > 0.15
+    elif kind == "corners":  # pixels that touch only at corners
+        rows, cols = np.indices((h, w))
+        mask = ((rows + cols) % 2 == 0) & (rng.random((h, w)) < 0.8)
+    elif kind == "line":
+        mask = np.zeros((h, w), bool)
+        if draw(st.booleans()):
+            mask[rng.integers(0, h), rng.integers(0, w):] = True
+        else:
+            mask[rng.integers(0, h):, rng.integers(0, w)] = True
+    elif kind == "pixel":
+        mask = np.zeros((h, w), bool)
+        mask[rng.integers(0, h), rng.integers(0, w)] = True
+    else:  # a blob flush with one window edge, or filling the window
+        mask = rng.random((h, w)) < 0.7
+        edge = draw(st.sampled_from(["top", "bottom", "left", "right", "all"]))
+        index = {"top": np.s_[0, :], "bottom": np.s_[-1, :], "left": np.s_[:, 0],
+                 "right": np.s_[:, -1], "all": np.s_[:, :]}[edge]
+        mask[index] = True
+    if not mask.any():
+        mask[0, 0] = True
+    x0, y0 = draw(st.sampled_from([(0, 0), (3, 0), (0, 7)]) | st.tuples(
+        st.integers(0, 5000), st.integers(0, 5000)))
+    return mask, x0, y0
+
+
+class TestTraceOracle:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(_tracer_case())
+    def test_matches_unit_edge_walk(self, case):
+        mask, x0, y0 = case
+        assert _trace_outer_ring(mask, x0, y0) == ref.trace_outer_ring(mask, x0, y0)
+
+
+@st.composite
+def _rdp_case(draw):
+    """A chain of reals in +-600, or of lattice points in 0-30 (exact
+    distance ties), with repeated points (zero-length segments)."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.uniform(-600, 600, (n, 2))
+    else:
+        pts = rng.integers(0, 31, (n, 2)).astype(float)
+    pts = [(float(x), float(y)) for x, y in pts]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = rng.integers(0, n, 2)
+        pts[i] = pts[j]
+    if draw(st.booleans()):
+        pts[-1] = pts[0]
+    return pts, draw(st.sampled_from([0.0, 0.5, 2.0, 25.0, 1e9]) | st.floats(0, 100))
+
+
+class TestRdpOracle:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(_rdp_case())
+    def test_keeps_what_the_scalar_chain_keeps(self, case):
+        pts, eps = case
+        assert _rdp_chain(pts, eps) == ref.rdp_chain(pts, eps)
+        back = pts[::-1]
+        assert _rdp_chain(back, eps) == ref.rdp_chain(back, eps)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_rdp_case(), st.sampled_from([0.0, 0.001, 0.01, 0.1, 10.0]))
+    def test_simplify_polygon_matches(self, case, ratio):
+        pts, _ = case
+        if len(pts) < 3:
+            pts = pts + [(pts[0][0] + 1.0, pts[0][1] + 2.0)]
+        for chain in (pts, pts[::-1]):
+            ring = tuple(v for p in chain for v in p)
+            expected = ref.simplify_polygon(ring, ratio)
+            if expected is None:
+                with pytest.raises(DegenerateRingError):
+                    simplify_polygon(ring, ratio)
+            else:
+                assert simplify_polygon(ring, ratio) == expected
 
 
 class TestSimplifyPolygon:
