@@ -36,7 +36,6 @@ from .geometry import (  # noqa: F401
 from .metrics import (  # noqa: F401
     ConfusionCounts,
     MetricsReport,
-    confusion_at,
     evaluate,
     f_beta,
     final_score,

@@ -105,7 +105,7 @@ def cmd_score(args) -> int:
     dataset = load_ground_truth(args.ground_truth)
     task = _task_of(args.task)
     preds = load_predictions(args.predictions, dataset, task, lenient=args.lenient)
-    report = evaluate(dataset, preds, jobs=args.jobs)
+    report = evaluate(dataset, preds)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,7 +115,8 @@ def cmd_score(args) -> int:
     _write_manifest(
         out_dir / "manifest.json",
         ["score", str(args.ground_truth), str(args.predictions)],
-        {"task": task, "lenient": args.lenient, "jobs": args.jobs,
+        # Scoring is serial; "jobs" stays for readers of the manifest.
+        {"task": task, "lenient": args.lenient, "jobs": 1,
          "betas": list(BETAS), "headline_threshold": HEADLINE_THRESHOLD,
          "thresholds": list(THRESHOLDS)},
         [args.ground_truth, args.predictions],
@@ -194,7 +195,7 @@ def cmd_leaderboard(args) -> int:
             print(f"invalid submission {path.name}: {exc}", file=sys.stderr)
     if len(loaded) < len(submissions):
         return 2
-    rows = leaderboard([(name, evaluate(dataset, preds, jobs=args.jobs))
+    rows = leaderboard([(name, evaluate(dataset, preds))
                         for name, preds in loaded])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions")
     p.add_argument("--task", choices=sorted(_TASKS), default="det")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="scores")
     p.set_defaults(func=cmd_score)
 
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("submissions", help="directory of prediction JSON files")
     p.add_argument("--task", choices=sorted(_TASKS), default="det")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="leaderboard")
     p.set_defaults(func=cmd_leaderboard)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,13 +150,6 @@ def match_image(preds: Sequence[PredictionInstance],
     )
 
 
-def confusion_at(dataset: Dataset, preds: PredictionSet, tau: float) -> ConfusionCounts:
-    """Micro-aggregated confusion counts over every image in the dataset."""
-    if not (0 < tau <= 1):
-        raise ValueError("threshold must be in (0, 1]")
-    return _count(dataset, preds, (tau,))[0][0].counts
-
-
 def f_beta(counts: ConfusionCounts, beta: float) -> float:
     """F-beta with the total-score convention: any zero denominator
     (in particular tp == 0) yields 0."""
@@ -174,6 +166,11 @@ def final_score(f1_headline: float, f1_range: float,
     """Composite score: arithmetic mean of the four headline metrics
     (all on the 0-100 scale)."""
     return (f1_headline + f1_range + f2_headline + f2_range) / 4.0
+
+
+def _markdown_cell(text: str) -> str:
+    """``text`` as one markdown table cell: a bare ``|`` would end it."""
+    return text.replace("|", "\\|")
 
 
 @dataclass
@@ -232,22 +229,19 @@ class MetricsReport:
         header = (f"| Name | F1[{pct:.0f}] | F1[range] | F2[{pct:.0f}] | F2[range] "
                   "| Final Score |")
         rule = "|---|---|---|---|---|---|"
-        row = (f"| {name} | {self.f1_headline:.2f} | {self.f1_range:.2f} "
+        row = (f"| {_markdown_cell(name)} | {self.f1_headline:.2f} | {self.f1_range:.2f} "
                f"| {self.f2_headline:.2f} | {self.f2_range:.2f} | {self.final:.2f} |")
         return "\n".join([header, rule, row]) + "\n"
 
 
-def _count(dataset: Dataset, preds: PredictionSet, taus: Sequence[float],
-           jobs: int = 1) -> tuple[list[ThresholdMetrics], dict]:
-    """Confusion counts and F-scores at each of the ascending ``taus``,
-    summed over the dataset and per image.
+def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
+    """Score a prediction set against a dataset at the challenge's
+    thresholds: confusion counts and F-scores at each threshold, summed
+    over the dataset and per image.
 
     Each image's IoU rows are computed once and serve every threshold.
-    Box IoU comes from one columnar pass over all images.  Mask IoU runs
-    per image, across ``jobs`` threads when ``jobs > 1``; box matching is
-    pure Python and holds the interpreter lock, so it never uses them.
-    Counts are aggregated in dataset image order, so the result is
-    bit-identical for any ``jobs``.
+    Box IoU comes from one columnar pass over all images; mask IoU runs
+    per image.  Counts are aggregated in dataset image order.
     """
     images = dataset.images
     pred_groups = [preds.instances_for(image.id) for image in images]
@@ -255,40 +249,30 @@ def _count(dataset: Dataset, preds: PredictionSet, taus: Sequence[float],
                  for image in images]
     if preds.task == DETECTION:
         image_rows = _box_iou_rows(pred_groups, gt_groups)
-    elif jobs > 1 and len(images) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            image_rows = list(pool.map(_mask_iou_rows, pred_groups, gt_groups, images))
     else:
         image_rows = list(map(_mask_iou_rows, pred_groups, gt_groups, images))
 
     per_image: dict[int, dict[float, tuple[int, int, int]]] = {}
-    tp_sums = [0] * len(taus)
+    tp_sums = [0] * len(THRESHOLDS)
     for image, ps, gs, rows in zip(images, pred_groups, gt_groups, image_rows):
-        tps = _greedy_tp_by_threshold(rows, taus)
+        tps = _greedy_tp_by_threshold(rows, THRESHOLDS)
         per_image[image.id] = {tau: (tp, len(ps) - tp, len(gs) - tp)
-                               for tau, tp in zip(taus, tps)}
+                               for tau, tp in zip(THRESHOLDS, tps)}
         tp_sums = [a + b for a, b in zip(tp_sums, tps)]
     n_pred = sum(map(len, pred_groups))
     n_gt = sum(map(len, gt_groups))
     per_threshold = []
-    for tau, tp in zip(taus, tp_sums):
+    for tau, tp in zip(THRESHOLDS, tp_sums):
         counts = ConfusionCounts(tp, n_pred - tp, n_gt - tp)
         per_threshold.append(
             ThresholdMetrics(tau, counts, {b: f_beta(counts, b) for b in BETAS}))
-    return per_threshold, per_image
-
-
-def evaluate(dataset: Dataset, preds: PredictionSet, *, jobs: int = 1) -> MetricsReport:
-    """Score a prediction set against a dataset at the challenge's
-    thresholds; ``jobs`` threads share the mask-IoU work of segmentation."""
-    per_threshold, per_image = _count(dataset, preds, THRESHOLDS, jobs)
-    by_tau = {tm.threshold: tm for tm in per_threshold}
+    headline = per_threshold[THRESHOLDS.index(HEADLINE_THRESHOLD)].scores
 
     def range_mean(beta: float) -> float:
-        return sum(by_tau[t].scores[beta] for t in THRESHOLDS) / len(THRESHOLDS)
+        return sum(tm.scores[beta] for tm in per_threshold) / len(THRESHOLDS)
 
-    f1_h = 100.0 * by_tau[HEADLINE_THRESHOLD].scores[1.0]
-    f2_h = 100.0 * by_tau[HEADLINE_THRESHOLD].scores[2.0]
+    f1_h = 100.0 * headline[1.0]
+    f2_h = 100.0 * headline[2.0]
     f1_r = 100.0 * range_mean(1.0)
     f2_r = 100.0 * range_mean(2.0)
     return MetricsReport(
@@ -336,7 +320,7 @@ def leaderboard_markdown(rows: Sequence[LeaderboardRow]) -> str:
     ]
     for r in rows:
         lines.append(
-            f"| {r.rank} | {r.name} | {r.f1:.2f} | {r.f1_range:.2f} "
+            f"| {r.rank} | {_markdown_cell(r.name)} | {r.f1:.2f} | {r.f1_range:.2f} "
             f"| {r.f2:.2f} | {r.f2_range:.2f} | {r.final:.2f} |"
         )
     return "\n".join(lines) + "\n"

@@ -36,8 +36,8 @@ def test_traced_commands_record_every_target(tmp_path):
     gt, det, seg = (str(tmp_path / f) for f in ("gt.json", "pred_det.json", "pred_seg.json"))
     commands = [
         ["validate", gt, det, "--task", "det"],
-        ["score", gt, det, "--task", "det", "--jobs", "1"],
-        ["score", gt, seg, "--task", "seg", "--jobs", "2"],
+        ["score", gt, det, "--task", "det"],
+        ["score", gt, seg, "--task", "seg"],
         # kmg's cross-detector merge needs two detection inputs.
         ["fuse", gt, det, det, "--preset", "kmg", "--task", "det"],
         ["fuse", gt, det, seg, "--preset", "ntr", "--task", "det"],
