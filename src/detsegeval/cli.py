@@ -26,6 +26,7 @@ from .coco import (
     parse_predictions,
     predictions_to_list,
     read_predictions,
+    to_json,
     write_json,
 )
 from .errors import CocoFormatError, UnknownPresetError
@@ -94,8 +95,7 @@ def cmd_validate(args) -> int:
     if args.out:
         write_json(payload, args.out)
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(to_json(payload) + "\n")
     if report.errors and not args.lenient:
         return 2
     return 0

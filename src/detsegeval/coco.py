@@ -14,8 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat, starmap
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import (
     DegeneratePayloadError,
@@ -34,6 +38,9 @@ SEGMENTATION = "segmentation"
 TASKS = (DETECTION, SEGMENTATION)
 # Pixel centres i + 0.5 stay exact in float64 up to this side length.
 MAX_IMAGE_SIDE = 2 ** 52
+# No loaded coordinate or box value is larger in magnitude, so no
+# difference, product or area of them overflows a float64.
+MAX_COORDINATE = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -166,12 +173,17 @@ def _require(obj: dict, key: str, location: str):
     return obj[key]
 
 
+def _is_number(value) -> bool:
+    """Numeric strings and ``true``/``false`` are not numbers, though
+    ``bool`` subclasses ``int``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, cast):
     """``cast(value)``, or None unless the value is a JSON number of the
-    right kind.  Numeric strings and ``true``/``false`` are not numbers,
-    though ``bool`` subclasses ``int``; an ``int`` field takes an integer
-    or an integral float such as ``3.0``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    right kind; an ``int`` field takes an integer or an integral float
+    such as ``3.0``."""
+    if not _is_number(value):
         return None
     if cast is int and isinstance(value, float) and not value.is_integer():
         return None
@@ -181,9 +193,17 @@ def _number(value, cast):
         return None
 
 
+def _json(value) -> str:
+    """``value`` quoted as JSON for a message (``repr`` if JSON cannot)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _not_a_number(key: str, value, cast) -> str:
     kind = "an integer" if cast is int and isinstance(value, float) else "a number"
-    return f"{key} {value!r} is not {kind}"
+    return f"{key} {_json(value)} is not {kind}"
 
 
 def _finite_floats(values) -> Optional[list[float]]:
@@ -193,6 +213,13 @@ def _finite_floats(values) -> Optional[list[float]]:
     if all(f is not None and math.isfinite(f) for f in floats):
         return floats
     return None
+
+
+def _beyond_bound(floats: list[float]) -> bool:
+    return any(abs(f) > MAX_COORDINATE for f in floats)
+
+
+_BOUND_TEXT = f"beyond the coordinate bound {MAX_COORDINATE:.0f}"
 
 
 def _require_int(obj: dict, key: str, location: str) -> int:
@@ -231,6 +258,8 @@ def _check_ring_list(raw_seg, location: str) -> PolygonSet:
         if floats is None:
             raise MalformedJsonError(
                 f"{location}: ring {k} has a coordinate that is not a finite number")
+        if _beyond_bound(floats):
+            raise MalformedJsonError(f"{location}: ring {k} has a coordinate {_BOUND_TEXT}")
         rings.append(tuple(floats))
     poly = PolygonSet(tuple(rings))
     if all(polygon_area(r) == 0 for r in poly.rings):
@@ -266,7 +295,16 @@ def load_ground_truth(path) -> Dataset:
     category = _require_object(raw_categories[0], "categories[0]")
     category_id = _require_int(category, "id", "categories[0]")
     category_name = str(category.get("name", ""))
+    columns = _ground_truth_columns(raw_images, raw_annotations, category_id)
+    if columns is None:
+        columns = _ground_truth_items(raw_images, raw_annotations, category_id)
+    return Dataset(*columns, category_id, category_name)
 
+
+def _ground_truth_items(raw_images: list, raw_annotations: list, category_id: int
+                        ) -> tuple[list[ImageRecord], list[GroundTruthInstance]]:
+    """Images and instances, checked one item at a time; raises on the
+    first fault with its location."""
     images: dict[int, ImageRecord] = {}
     for k, raw in enumerate(raw_images):
         loc = f"images[{k}]"
@@ -274,7 +312,9 @@ def load_ground_truth(path) -> Dataset:
         image_id = _require_int(raw, "id", loc)
         width = _require_int(raw, "width", loc)
         height = _require_int(raw, "height", loc)
-        file_name = str(_require(raw, "file_name", loc))
+        file_name = _require(raw, "file_name", loc)
+        if not isinstance(file_name, str):
+            raise MalformedJsonError(f"{loc}: file_name {_json(file_name)} is not a string")
         if image_id in images:
             raise DuplicateImageIdError(f"{loc}: duplicate image id {image_id}")
         if not (1 <= width <= MAX_IMAGE_SIDE and 1 <= height <= MAX_IMAGE_SIDE):
@@ -305,19 +345,155 @@ def load_ground_truth(path) -> Dataset:
             )
         raw_box = _require(raw, "bbox", loc)
         if not (isinstance(raw_box, list) and len(raw_box) == 4
-                and all(isinstance(v, (int, float)) for v in raw_box)):
+                and all(map(_is_number, raw_box))):
             raise MalformedJsonError(f"{loc}: bbox must be [x, y, w, h]")
         coords = _finite_floats(raw_box)
         if coords is None or coords[2] <= 0 or coords[3] <= 0:
-            raise MalformedJsonError(f"{loc}: degenerate bbox {raw_box}")
+            raise MalformedJsonError(f"{loc}: degenerate bbox {_json(raw_box)}")
+        if _beyond_bound(coords):
+            raise MalformedJsonError(f"{loc}: bbox {_json(raw_box)} has a value {_BOUND_TEXT}")
         box = BBox(*coords)
         poly = _check_ring_list(_require(raw, "segmentation", loc), loc)
         outside = _outside_image(box, image)
         if outside:
             raise MalformedJsonError(f"{loc}: {outside}")
         instances.append(GroundTruthInstance(ann_id, image_id, box, poly, cat))
+    return list(images.values()), instances
 
-    return Dataset(images.values(), instances, category_id, category_name)
+
+# The columnar passes below take a whole file at once and return exactly
+# what the per-item code returns, or None when any check fails; the
+# per-item code then runs on the same parsed object and names the fault.
+
+_INT, _STR, _LIST, _DICT = (frozenset((kind,)) for kind in (int, str, list, dict))
+_NUMBER = frozenset((int, float))
+_IMAGE_FIELDS = itemgetter("id", "width", "height", "file_name")
+_ANNOTATION_FIELDS = itemgetter("id", "image_id", "category_id", "bbox", "segmentation")
+
+
+def _typed(column, types: frozenset) -> bool:
+    """Whether every value's exact type is one of ``types``, so that a
+    ``bool`` is never taken for an ``int``."""
+    return set(map(type, column)) <= types
+
+
+def _columns(items: list, fields: itemgetter, width: int) -> Optional[tuple]:
+    """The named fields of a list of objects as tuples, or None when an
+    item is not a JSON object or lacks a field."""
+    if not _typed(items, _DICT):
+        return None
+    try:
+        return tuple(zip(*map(fields, items))) if items else ((),) * width
+    except KeyError:
+        return None
+
+
+def _bounded_floats(values: list) -> Optional[list[float]]:
+    """``values`` as floats, or None unless each is a JSON number within
+    ``MAX_COORDINATE`` in magnitude."""
+    if not _typed(values, _NUMBER):
+        return None
+    try:
+        floats = list(map(float, values))
+    except OverflowError:
+        return None
+    if not (np.abs(np.array(floats)) <= MAX_COORDINATE).all():  # NaN fails too
+        return None
+    return floats
+
+
+def _boxes_and_array(raw_boxes) -> Optional[tuple[list[BBox], np.ndarray]]:
+    """The boxes and their ``n x 4`` array, or None unless each is a list
+    of 4 bounded numbers with ``w > 0`` and ``h > 0``."""
+    if not (_typed(raw_boxes, _LIST) and set(map(len, raw_boxes)) <= {4}):
+        return None
+    floats = _bounded_floats(list(chain.from_iterable(raw_boxes)))
+    if floats is None:
+        return None
+    xywh = np.array(floats).reshape(-1, 4)
+    if not (xywh[:, 2:] > 0).all():
+        return None
+    return list(starmap(BBox, zip(*[iter(floats)] * 4))), xywh
+
+
+def _fully_outside(xywh: np.ndarray, width: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """:func:`_outside_image` for each row of boxes."""
+    x, y, w, h = xywh.T
+    return ((np.minimum(x + w, width) <= np.maximum(x, 0.0))
+            | (np.minimum(y + h, height) <= np.maximum(y, 0.0)))
+
+
+def _has_zero_area_ring(rings: list[tuple[float, ...]], coords: list[float]) -> bool:
+    """Whether :func:`polygon_area` is 0 for any ring.  The shoelace terms
+    here are ``polygon_area``'s bit for bit; only the order of their sum
+    differs, and either order errs by less than ``n * 2**-52`` times the
+    sum of |terms|.  So a ring whose sum here exceeds ``n * 2**-40`` times
+    that is not zero, and ``polygon_area`` decides the rest."""
+    if not rings:
+        return False
+    n = np.array(list(map(len, rings))) // 2
+    first = np.cumsum(n) - n
+    xy = np.array(coords).reshape(-1, 2)
+    d = xy - np.repeat(xy[first], n, axis=0)
+    nxt = np.arange(1, len(d) + 1)
+    nxt[first + n - 1] = first
+    terms = d[:, 0] * d[nxt, 1] - d[nxt, 0] * d[:, 1]
+    total = np.add.reduceat(terms, first)
+    scale = np.add.reduceat(np.abs(terms), first)
+    near_zero = np.flatnonzero(np.abs(total) <= scale * (n * 2.0 ** -40))
+    return any(polygon_area(rings[r]) == 0 for r in near_zero)
+
+
+def _ground_truth_columns(raw_images: list, raw_annotations: list, category_id: int
+                          ) -> Optional[tuple[list[ImageRecord], list[GroundTruthInstance]]]:
+    """:func:`_ground_truth_items`' result from whole-column checks, or
+    None when any check fails."""
+    image_columns = _columns(raw_images, _IMAGE_FIELDS, 4)
+    ann_columns = _columns(raw_annotations, _ANNOTATION_FIELDS, 5)
+    if image_columns is None or ann_columns is None:
+        return None
+    ids, widths, heights, names = image_columns
+    sides = widths + heights
+    if not (_typed(ids + sides, _INT) and _typed(names, _STR)
+            and len(set(ids)) == len(ids)
+            and (not sides or 1 <= min(sides) and max(sides) <= MAX_IMAGE_SIDE)):
+        return None
+    ann_ids, image_ids, cats, raw_boxes, raw_segs = ann_columns
+    if not (_typed(ann_ids + image_ids + cats, _INT) and set(cats) <= {category_id}
+            and len(set(ann_ids)) == len(ann_ids)):
+        return None
+    row_of = dict(zip(ids, range(len(ids))))
+    try:
+        rows = list(map(row_of.__getitem__, image_ids))
+    except KeyError:
+        return None
+    boxes = _boxes_and_array(raw_boxes)
+    if boxes is None or _fully_outside(boxes[1], np.array(widths)[rows],
+                                       np.array(heights)[rows]).any():
+        return None
+
+    if not (_typed(raw_segs, _LIST) and all(raw_segs)):
+        return None
+    raw_rings = list(chain.from_iterable(raw_segs))
+    if not _typed(raw_rings, _LIST):
+        return None
+    sizes = list(map(len, raw_rings))
+    if not all(size >= 6 and size % 2 == 0 for size in sizes):
+        return None
+    coords = _bounded_floats(list(chain.from_iterable(raw_rings)))
+    if coords is None:
+        return None
+    ends = list(accumulate(sizes))
+    rings = [tuple(coords[end - size:end]) for size, end in zip(sizes, ends)]
+    # The per-item code keeps a zero-area ring beside a ring with area;
+    # such rare files take that path.
+    if _has_zero_area_ring(rings, coords):
+        return None
+    ring_ends = list(accumulate(map(len, raw_segs)))
+    polys = [PolygonSet(tuple(rings[end - len(seg):end]))
+             for seg, end in zip(raw_segs, ring_ends)]
+    return (list(map(ImageRecord, ids, widths, heights, names)),
+            list(map(GroundTruthInstance, ann_ids, image_ids, boxes[0], polys, cats)))
 
 
 def _parse_prediction_items(data, dataset: Dataset, task: str,
@@ -388,12 +564,17 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
                              f"detection task but entry carries {kind}", loc)
                 ok = False
             elif coords is None:
-                report.error("MalformedJson", f"bbox must be 4 finite numbers, got {raw_box}", loc)
+                report.error("MalformedJson",
+                             f"bbox must be 4 finite numbers, got {_json(raw_box)}", loc)
+                ok = False
+            elif _beyond_bound(coords):
+                report.error("MalformedJson", f"bbox {_json(raw_box)} has a value {_BOUND_TEXT}",
+                             loc)
                 ok = False
             else:
                 box = BBox(*coords)
                 if box.w <= 0 or box.h <= 0:
-                    report.error("DegeneratePayload", f"box {raw_box} has no area", loc)
+                    report.error("DegeneratePayload", f"box {_json(raw_box)} has no area", loc)
                     ok = False
                 elif image is not None:
                     outside = _outside_image(box, image)
@@ -433,6 +614,43 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
     return retained
 
 
+def _detection_columns(data: list, dataset: Dataset, report: ValidationReport
+                       ) -> Optional[list[PredictionInstance]]:
+    """:func:`_parse_prediction_items`' result for a detection file that
+    holds no error, from whole-column checks; None, with ``report``
+    untouched, when any check fails."""
+    if not _typed(data, _DICT):
+        return None
+    image_ids = list(map(dict.get, data, repeat("image_id")))
+    scores = list(map(dict.get, data, repeat("score")))
+    cats = list(map(dict.get, data, repeat("category_id"), repeat(dataset.category_id)))
+    if not (_typed(image_ids + cats, _INT) and set(cats) <= {dataset.category_id}
+            and _typed(scores, _NUMBER)):
+        return None
+    try:
+        scores = list(map(float, scores))
+        images = list(map(dataset.images_by_id.__getitem__, image_ids))
+    except (OverflowError, KeyError):
+        return None
+    score = np.array(scores)
+    boxes = _boxes_and_array(list(map(dict.get, data, repeat("bbox"))))
+    if not ((score >= 0.0) & (score <= 1.0)).all() or boxes is None:
+        return None
+    bboxes, xywh = boxes
+    width = np.array(list(map(attrgetter("width"), images)))
+    height = np.array(list(map(attrgetter("height"), images)))
+    if _fully_outside(xywh, width, height).any():
+        return None
+    x, y, w, h = xywh.T
+    for k in np.flatnonzero((x < 0) | (y < 0) | (x + w > width) | (y + h > height)).tolist():
+        image = images[k]
+        report.warn("BoxOutsideImage", f"box {bboxes[k].as_list()} extends past "
+                    f"the {image.width}x{image.height} image bounds", f"predictions[{k}]")
+    report.instances_seen = len(data)
+    report.images_seen = len(set(image_ids))
+    return list(map(PredictionInstance, image_ids, scores, cats, range(len(data)), bboxes))
+
+
 def read_predictions(path) -> list:
     """Parse a prediction file, which must hold a JSON array."""
     data = _read_json(path)
@@ -465,7 +683,9 @@ def parse_predictions(source, dataset: Dataset, task: str
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     data = source if isinstance(source, list) else read_predictions(source)
     report = ValidationReport()
-    retained = _parse_prediction_items(data, dataset, task, report)
+    retained = _detection_columns(data, dataset, report) if task == DETECTION else None
+    if retained is None:
+        retained = _parse_prediction_items(data, dataset, task, report)
     return retained, report
 
 
@@ -485,8 +705,45 @@ def predictions_to_list(preds: PredictionSet) -> list[dict]:
     return out
 
 
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _encode(obj, indent: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if (kind is list or kind is tuple) and obj:
+        items = None
+        if _typed(obj, _NUMBER):
+            items = list(map(repr, obj))
+            if not _NON_FINITE.isdisjoint(items):
+                items = None
+        if items is None:
+            items = [_encode(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict and obj and _typed(obj, _STR):
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    # JSON text holds no raw newline but the layout's own.
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.  Exact
+    ``str``, ``int``, finite ``float``, ``list``, ``tuple`` and str-keyed
+    ``dict`` values are written here, numeric lists with one join; the
+    rest goes to ``json.dumps``."""
+    return _encode(obj, "")
+
+
 def write_json(obj, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(to_json(obj) + "\n")

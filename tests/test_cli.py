@@ -97,7 +97,7 @@ class TestValidate:
         data["images"][1]["width"] = "64"
         bad_gt = write_json_file(root / "bad_gt.json", data)
         assert run(["validate", bad_gt, det, "--task", "det"]) == 2
-        assert "images[1]: width '64' is not a number" in capsys.readouterr().err
+        assert 'images[1]: width "64" is not a number' in capsys.readouterr().err
 
     def test_huge_integer_in_bbox_is_located(self, workspace, tmp_path):
         root, gt, _, _ = workspace
@@ -191,6 +191,15 @@ class TestScore:
         root, gt, _, _ = workspace
         bad = write_json_file(root / "bad.json", [det_pred(1, 2.0, [8, 8, 4, 4])])
         assert run(["score", gt, bad, "--task", "det", "--out", root / "s3"]) == 2
+
+    def test_gt_ring_beyond_coordinate_bound_exit_2(self, workspace, capsys):
+        root, _, _, seg = workspace
+        gt = make_gt([image(1, 64, 64)], [annotation(
+            1, 1, [8, 8, 24, 24], segmentation=[[1e308, 0, -1e308, 0, 0, 1e308]])])
+        bad_gt = write_json_file(root / "far_gt.json", gt)
+        assert run(["score", bad_gt, seg, "--task", "seg", "--out", root / "s5"]) == 2
+        assert ("annotations[0] (id=1): ring 0 has a coordinate beyond the coordinate bound"
+                in capsys.readouterr().err)
 
     def test_segmentation_task(self, workspace, capsys):
         root, gt, _, seg = workspace
