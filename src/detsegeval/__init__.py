@@ -30,6 +30,7 @@ from .geometry import (  # noqa: F401
     polygon_to_bbox,
     rasterize,
     rasterize_runs,
+    rasterize_runs_many,
     simplify_polygon,
     trace_largest_contour,
 )

@@ -31,16 +31,19 @@ from .errors import (
     SubmissionError,
     UnknownImageRefError,
 )
-from .geometry import BBox, PolygonSet, polygon_area, rasterize_runs
+from .geometry import (
+    MAX_COORDINATE,
+    MAX_IMAGE_SIDE,
+    BBox,
+    PolygonSet,
+    polygon_area,
+    rasterize_runs,
+    rasterize_runs_many,
+)
 
 DETECTION = "detection"
 SEGMENTATION = "segmentation"
 TASKS = (DETECTION, SEGMENTATION)
-# Pixel centres i + 0.5 stay exact in float64 up to this side length.
-MAX_IMAGE_SIDE = 2 ** 52
-# No loaded coordinate or box value is larger in magnitude, so no
-# difference, product or area of them overflows a float64.
-MAX_COORDINATE = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -472,6 +475,17 @@ def _ground_truth_columns(raw_images: list, raw_annotations: list, category_id: 
                                        np.array(heights)[rows]).any():
         return None
 
+    polys = _polygon_columns(raw_segs)
+    if polys is None:
+        return None
+    return (list(map(ImageRecord, ids, widths, heights, names)),
+            list(map(GroundTruthInstance, ann_ids, image_ids, boxes[0], polys, cats)))
+
+
+def _polygon_columns(raw_segs) -> Optional[list[PolygonSet]]:
+    """The polygon of each segmentation, or None unless each is a
+    non-empty list of rings of at least 3 bounded ``(x, y)`` vertices
+    and no ring has zero area."""
     if not (_typed(raw_segs, _LIST) and all(raw_segs)):
         return None
     raw_rings = list(chain.from_iterable(raw_segs))
@@ -490,10 +504,8 @@ def _ground_truth_columns(raw_images: list, raw_annotations: list, category_id: 
     if _has_zero_area_ring(rings, coords):
         return None
     ring_ends = list(accumulate(map(len, raw_segs)))
-    polys = [PolygonSet(tuple(rings[end - len(seg):end]))
-             for seg, end in zip(raw_segs, ring_ends)]
-    return (list(map(ImageRecord, ids, widths, heights, names)),
-            list(map(GroundTruthInstance, ann_ids, image_ids, boxes[0], polys, cats)))
+    return [PolygonSet(tuple(rings[end - len(seg):end]))
+            for seg, end in zip(raw_segs, ring_ends)]
 
 
 def _parse_prediction_items(data, dataset: Dataset, task: str,
@@ -614,11 +626,11 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
     return retained
 
 
-def _detection_columns(data: list, dataset: Dataset, report: ValidationReport
-                       ) -> Optional[list[PredictionInstance]]:
-    """:func:`_parse_prediction_items`' result for a detection file that
-    holds no error, from whole-column checks; None, with ``report``
-    untouched, when any check fails."""
+def _prediction_columns(data: list, dataset: Dataset, task: str, report: ValidationReport
+                        ) -> Optional[list[PredictionInstance]]:
+    """:func:`_parse_prediction_items`' result for a file that holds no
+    error, from whole-column checks; None, with ``report`` untouched, when
+    any check fails."""
     if not _typed(data, _DICT):
         return None
     image_ids = list(map(dict.get, data, repeat("image_id")))
@@ -633,8 +645,27 @@ def _detection_columns(data: list, dataset: Dataset, report: ValidationReport
     except (OverflowError, KeyError):
         return None
     score = np.array(scores)
-    boxes = _boxes_and_array(list(map(dict.get, data, repeat("bbox"))))
-    if not ((score >= 0.0) & (score <= 1.0)).all() or boxes is None:
+    if not ((score >= 0.0) & (score <= 1.0)).all():
+        return None
+    bboxes = polys = repeat(None)
+    if task == DETECTION:
+        bboxes = _boxes_in_images(list(map(dict.get, data, repeat("bbox"))), images, report)
+    else:
+        polys = _polygons_with_pixels(list(map(dict.get, data, repeat("segmentation"))),
+                                      images)
+    if bboxes is None or polys is None:
+        return None
+    report.instances_seen = len(data)
+    report.images_seen = len(set(image_ids))
+    return list(map(PredictionInstance, image_ids, scores, cats, range(len(data)), bboxes, polys))
+
+
+def _boxes_in_images(raw_boxes: list, images: list[ImageRecord], report: ValidationReport
+                     ) -> Optional[list[BBox]]:
+    """The boxes, or None unless each is valid and reaches into its image;
+    the overhang warnings are written only when every box passes."""
+    boxes = _boxes_and_array(raw_boxes)
+    if boxes is None:
         return None
     bboxes, xywh = boxes
     width = np.array(list(map(attrgetter("width"), images)))
@@ -646,9 +677,21 @@ def _detection_columns(data: list, dataset: Dataset, report: ValidationReport
         image = images[k]
         report.warn("BoxOutsideImage", f"box {bboxes[k].as_list()} extends past "
                     f"the {image.width}x{image.height} image bounds", f"predictions[{k}]")
-    report.instances_seen = len(data)
-    report.images_seen = len(set(image_ids))
-    return list(map(PredictionInstance, image_ids, scores, cats, range(len(data)), bboxes))
+    return bboxes
+
+
+def _polygons_with_pixels(raw_segs: list, images: list[ImageRecord]
+                          ) -> Optional[list[PolygonSet]]:
+    """The polygons, or None unless each is valid and sets a pixel of its
+    image; one rasterizer call covers them all."""
+    polys = _polygon_columns(raw_segs)
+    if polys is None:
+        return None
+    masks = rasterize_runs_many(zip(polys, map(attrgetter("width"), images),
+                                    map(attrgetter("height"), images)))
+    if any(mask.rows.size == 0 for mask in masks):
+        return None
+    return polys
 
 
 def read_predictions(path) -> list:
@@ -683,7 +726,7 @@ def parse_predictions(source, dataset: Dataset, task: str
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     data = source if isinstance(source, list) else read_predictions(source)
     report = ValidationReport()
-    retained = _detection_columns(data, dataset, report) if task == DETECTION else None
+    retained = _prediction_columns(data, dataset, task, report)
     if retained is None:
         retained = _parse_prediction_items(data, dataset, task, report)
     return retained, report

@@ -27,6 +27,10 @@ class EmptyMaskError(GeometryError):
     """Operation requires at least one foreground pixel."""
 
 
+class CoordinateBoundError(GeometryError):
+    """A polygon vertex is not finite or lies beyond ``MAX_COORDINATE``."""
+
+
 # --- file formats / validation ----------------------------------------------
 
 class CocoFormatError(DetSegEvalError):

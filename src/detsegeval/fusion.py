@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from .geometry import (
     morphology,
     polygon_to_bbox,
     rasterize,
-    rasterize_runs,
+    rasterize_runs_many,
     simplify_polygon,
     trace_largest_contour,
 )
@@ -402,8 +403,9 @@ def _semantic_maps(models: Sequence[Sequence[PredictionInstance]], width: int,
     pixel outside it is 0 in every map, and so in every mean, maximum
     and threshold above 0 of the maps.  A caller whose threshold lets 0
     through passes ``whole_frame``."""
-    runs = [[rasterize_runs(inst.segmentation, width, height) for inst in insts]
-            for insts in models]
+    masks = rasterize_runs_many((inst.segmentation, width, height)
+                                for insts in models for inst in insts)
+    runs = [list(islice(masks, len(insts))) for insts in models]
     if whole_frame:
         y0, y1, x0, x1 = 0, height, 0, width
     else:

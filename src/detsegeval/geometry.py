@@ -21,11 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from bisect import bisect_right
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateRingError, DimensionMismatchError, EmptyMaskError
+from .errors import (
+    CoordinateBoundError,
+    DegenerateRingError,
+    DimensionMismatchError,
+    EmptyMaskError,
+)
 
 Ring = Sequence[float]  # flat vertex list [x1, y1, x2, y2, ...]
 
@@ -160,40 +167,126 @@ class RunMask:
         return out
 
 
-def _ring_runs(poly: PolygonSet, width: int, height: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Even-odd runs of every ring, as ``(row, start, end)`` arrays sorted
-    by ring, row and start; empty runs are dropped."""
-    pts = [np.array(_check_ring(ring), dtype=np.float64).reshape(-1, 2) for ring in poly.rings]
-    sizes = np.array([len(p) for p in pts], dtype=np.int64)
-    x1, y1 = np.concatenate(pts).T if pts else (np.empty(0), np.empty(0))
-    # Each vertex's successor along its own ring, wrapping at the ring's end.
-    nxt = np.arange(1, len(x1) + 1)
-    nxt[np.cumsum(sizes) - 1] = np.cumsum(sizes) - sizes
-    x2, y2 = x1[nxt], y1[nxt]
-    ring_of = np.repeat(np.arange(len(pts)), sizes)
-    # Edge e crosses the centers of rows i0..i1: those with ymin <= i + 0.5 < ymax.
-    i0 = np.maximum(0, np.ceil(np.minimum(y1, y2) - 0.5))
-    i1 = np.minimum(height - 1, np.ceil(np.maximum(y1, y2) - 0.5) - 1)
-    keep = (y1 != y2) & (i0 <= i1)
-    i0, counts = i0[keep].astype(np.int64), (i1 - i0)[keep].astype(np.int64) + 1
-    edge = np.repeat(np.arange(keep.sum()), counts)
-    rows = i0[edge] + (np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
-    x1, y1, x2, y2, ring_of = (v[keep][edge] for v in (x1, y1, x2, y2, ring_of))
-    yc = rows + 0.5
-    xc = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
-    # clamp before the int conversion so far-away crossings cannot overflow
-    np.clip(xc, -1.0, width + 1.0, out=xc)
-    # A crossing at x flips every pixel whose center lies strictly to its right.
-    cols = np.floor(xc - 0.5).astype(np.int64) + 1
-    np.clip(cols, 0, width, out=cols)
-    order = np.lexsort((cols, rows, ring_of))
-    # Each ring crosses each row center an even number of times, so
-    # consecutive flips pair up into that ring's runs.
-    rows, cols = rows[order], cols[order]
-    starts, ends = cols[0::2], cols[1::2]
-    nonempty = starts < ends
-    return rows[0::2][nonempty], starts[nonempty], ends[nonempty]
+# Pixel centres i + 0.5 stay exact in float64 up to this side length.
+MAX_IMAGE_SIDE = 2 ** 52
+# No vertex lies farther from the origin than this, so no difference,
+# product or area of two coordinates overflows a float64.
+MAX_COORDINATE = 2.0 ** 64
+# The most edge-row crossings one numpy pass of the rasterizer holds, a
+# few MB of working arrays; a polygon with more crossings runs alone.
+_PASS_CROSSINGS = 1 << 16
+
+
+def rasterize_runs_many(items: Iterable[tuple[PolygonSet, int, int]]) -> Iterator[RunMask]:
+    """Yield :func:`rasterize_runs` of each ``(polygon, width, height)``,
+    in order.
+
+    The polygons share numpy passes of at most ``_PASS_CROSSINGS``
+    edge-row crossings each (a polygon with more runs alone), so working
+    memory stays bounded however many are given.  Raises
+    :class:`CoordinateBoundError` for a vertex that is not finite or lies
+    beyond ``MAX_COORDINATE``, and ``ValueError`` for a frame side outside
+    ``[1, MAX_IMAGE_SIDE]``.
+    """
+    items = list(items)
+    if not items:
+        return
+    frames = [(w, h) for _, w, h in items]
+    if not all(1 <= w <= MAX_IMAGE_SIDE and 1 <= h <= MAX_IMAGE_SIDE for w, h in frames):
+        raise ValueError(f"grid dimensions must be between 1 and {MAX_IMAGE_SIDE}")
+    ring_counts = [len(poly.rings) for poly, _, _ in items]
+    rings = [ring for poly, _, _ in items for ring in poly.rings]
+    sizes = list(map(len, rings))
+    if not all(size >= 6 and size % 2 == 0 for size in sizes):
+        for ring in rings:
+            _check_ring(ring)
+    try:
+        xy = np.fromiter(chain.from_iterable(rings), np.float64, sum(sizes)).reshape(-1, 2)
+    except OverflowError as exc:  # an integer too large for a float
+        raise CoordinateBoundError(f"a vertex lies beyond {MAX_COORDINATE:.0f}") from exc
+    if not np.abs(xy).max(initial=0.0) <= MAX_COORDINATE:  # NaN fails too
+        raise CoordinateBoundError(f"a vertex is not finite or lies beyond {MAX_COORDINATE:.0f}")
+
+    # One edge per vertex, to its successor along its own ring.
+    n = np.array(sizes, dtype=np.int64) // 2
+    last = n.cumsum() - 1
+    nxt = np.arange(1, len(xy) + 1)
+    nxt[last] = last - n + 1
+    x1, y1 = xy.T
+    if len(set(frames)) == 1:
+        width, height = frames[0]
+    else:
+        width, height = (np.array(frames, dtype=np.int64).repeat(ring_counts, axis=0)
+                         .repeat(n, axis=0).T)
+    # Edge e crosses the centres of rows i0..i1: those with ymin <= i + 0.5
+    # < ymax.  y -> ceil(y - 0.5) is monotone, so it is taken per vertex.
+    # A horizontal edge has i0 > i1 and is dropped with the clipped ones.
+    row = np.ceil(y1 - 0.5)
+    row_next = row[nxt]
+    i0, i1 = np.minimum(row, row_next), np.maximum(row, row_next) - 1
+    np.maximum(i0, 0, out=i0)
+    np.minimum(i1, height - 1, out=i1)
+    kept = (i0 <= i1).nonzero()[0]
+    i0 = i0[kept].astype(np.int64)
+    counts = i1[kept].astype(np.int64) - i0 + 1
+    kept_next = nxt[kept]
+    x1, y1, dx, dy = x1[kept], y1[kept], x1[kept_next], y1[kept_next]
+    dx -= x1
+    dy -= y1
+    top = width - 0.5 if np.isscalar(width) else width[kept] - 0.5
+    ring = last.searchsorted(kept)
+    through = counts.cumsum()  # crossings of each edge and of all before it
+    # Crossing c, counted over all edges, lies on row c + shift[its edge].
+    shift = i0 - (through - counts)
+    # One int64 key, (ring * h_max + row) * cols_max + col, orders the
+    # crossings unless the frames are too large for it.
+    h_max, cols_max = max(h for _, h in frames), max(w for w, _ in frames) + 1
+    fits = len(rings) * h_max * cols_max < 2 ** 63
+    base = ring * (h_max * cols_max) if fits else None
+    # Polygon k's edges end at edge_end[k] and its crossings at cross_end[k].
+    edge_end = ring.searchsorted(list(accumulate(ring_counts))).tolist()
+    cross_end = np.concatenate(([0], through))[edge_end].tolist()
+
+    k0 = e0 = c0 = 0
+    while k0 < len(items):
+        k1 = max(k0 + 1, bisect_right(cross_end, c0 + _PASS_CROSSINGS))
+        e1, c1 = edge_end[k1 - 1], cross_end[k1 - 1]
+        repeats = counts[e0:e1]
+        rows = np.arange(c0, c1) + shift[e0:e1].repeat(repeats)
+        # x1 + (row + 0.5 - y1) * dx / dy, in that order of operations
+        xc = rows + 0.5
+        xc -= y1[e0:e1].repeat(repeats)
+        xc *= dx[e0:e1].repeat(repeats)
+        xc /= dy[e0:e1].repeat(repeats)
+        xc += x1[e0:e1].repeat(repeats)
+        # A crossing at x flips every pixel whose centre lies strictly to
+        # its right, from column floor(x - 0.5) + 1 on, clamped to
+        # [0, width].  Clamping x to [-0.5, width - 0.5] first gives the
+        # same columns and keeps the int conversion from overflowing.
+        np.clip(xc, -0.5, top if np.isscalar(top) else top[e0:e1].repeat(repeats), out=xc)
+        xc -= 0.5
+        cols = np.floor(xc, out=xc).astype(np.int64)
+        cols += 1
+        if fits:
+            key = rows * cols_max
+            key += cols
+            key += base[e0:e1].repeat(repeats)
+            order = key.argsort(kind="stable")
+        else:
+            order = np.lexsort((cols, rows, ring[e0:e1].repeat(repeats)))
+        # Each ring crosses each row centre an even number of times, so
+        # consecutive flips pair up into that ring's runs; empty runs go.
+        cols = cols[order]
+        starts, ends = cols[0::2], cols[1::2]
+        runs = (starts < ends).nonzero()[0]
+        rows, starts, ends = rows[order[0::2][runs]], starts[runs], ends[runs]
+        bounds = runs.searchsorted([(c - c0) // 2 for c in cross_end[k0:k1]]).tolist()
+        a = 0
+        for (_, w, h), n_rings, b in zip(items[k0:k1], ring_counts[k0:k1], bounds):
+            mask = rows[a:b], starts[a:b], ends[a:b]
+            yield RunMask(w, h, *(_union(*mask) if n_rings > 1 else mask))
+            a = b
+        k0, e0, c0 = k1, e1, c1
 
 
 def _sweep(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
@@ -209,23 +302,24 @@ def _sweep(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
     return rows[order], cols[order], delta, np.cumsum(delta)
 
 
+def _union(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of possibly overlapping runs: a run opens where the
+    count rises to 1 and closes where it falls to 0."""
+    rows, cols, delta, cover = _sweep(rows, starts, ends)
+    opens = (delta == 1) & (cover == 1)
+    return rows[opens], cols[opens], cols[(delta == -1) & (cover == 0)]
+
+
 def rasterize_runs(poly: PolygonSet, width: int, height: int) -> RunMask:
     """Rasterize a polygon set onto a ``height x width`` grid as row runs.
 
     A pixel is set iff its center is inside at least one ring under the
     even-odd rule; geometry outside the grid is clipped.  Memory grows
-    with the rows the polygon spans, not with the frame.
+    with the rows the polygon spans, not with the frame.  This is the
+    one-polygon case of :func:`rasterize_runs_many`.
     """
-    if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    rows, starts, ends = _ring_runs(poly, width, height)
-    if len(poly.rings) > 1:
-        # Union of the rings: a run opens where the count rises to 1 and
-        # closes where it falls to 0.
-        rows, cols, delta, cover = _sweep(rows, starts, ends)
-        opens = (delta == 1) & (cover == 1)
-        rows, starts, ends = rows[opens], cols[opens], cols[(delta == -1) & (cover == 0)]
-    return RunMask(width, height, rows, starts, ends)
+    return next(rasterize_runs_many([(poly, width, height)]))
 
 
 def rasterize(poly: PolygonSet, width: int, height: int) -> np.ndarray:
@@ -260,7 +354,8 @@ def mask_iou(a: np.ndarray | RunMask, b: np.ndarray | RunMask) -> float:
 
 
 def box_iou(a: BBox, b: BBox) -> float:
-    """Analytic IoU on real coordinates."""
+    """Analytic IoU on real coordinates.  ``x + w - x`` can round above
+    ``w``, so the ratio is capped at 1."""
     iw = min(a.x2, b.x2) - max(a.x, b.x)
     ih = min(a.y2, b.y2) - max(a.y, b.y)
     if iw <= 0 or ih <= 0:
@@ -269,7 +364,7 @@ def box_iou(a: BBox, b: BBox) -> float:
     union = a.area + b.area - inter
     if union <= 0:
         return 0.0
-    return inter / union
+    return min(inter / union, 1.0)
 
 
 def box_iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,7 +378,7 @@ def box_iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = iw * ih
     union = (aw * ah + bw * bh) - inter
     keep = (iw > 0) & (ih > 0) & (union > 0)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=keep)
+    return np.minimum(np.divide(inter, union, out=np.zeros_like(inter), where=keep), 1.0)
 
 
 def box_ioa(a: BBox, b: BBox) -> float:

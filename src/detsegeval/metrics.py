@@ -15,6 +15,7 @@ import csv
 import io
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .coco import (
     PredictionSet,
 )
 from .errors import EmptyInputError
-from .geometry import box_iou_columns, mask_iou, rasterize_runs
+from .geometry import box_iou_columns, mask_iou, rasterize_runs_many
 
 # The challenge's definition: the composite score is the mean of F1 and
 # F2 at the headline threshold and over the 0.40:0.95 range.
@@ -83,8 +84,9 @@ def _box_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
 def _mask_iou_rows(preds: Sequence[PredictionInstance],
                    gts: Sequence[GroundTruthInstance],
                    image: ImageRecord) -> list[list[float]]:
-    pm = [rasterize_runs(p.segmentation, image.width, image.height) for p in preds]
-    gm = [rasterize_runs(g.segmentation, image.width, image.height) for g in gts]
+    masks = list(rasterize_runs_many((inst.segmentation, image.width, image.height)
+                                     for inst in chain(preds, gts)))
+    pm, gm = masks[:len(preds)], masks[len(preds):]
     return [[mask_iou(p, g) for g in gm] for p in pm]
 
 
@@ -241,7 +243,8 @@ def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
 
     Each image's IoU rows are computed once and serve every threshold.
     Box IoU comes from one columnar pass over all images; mask IoU runs
-    per image.  Counts are aggregated in dataset image order.
+    per image, from one rasterizer call for its predictions and ground
+    truths.  Counts are aggregated in dataset image order.
     """
     images = dataset.images
     pred_groups = [preds.instances_for(image.id) for image in images]

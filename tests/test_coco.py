@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detsegeval import coco
+from detsegeval import cli, coco
 from detsegeval.coco import (
     MAX_COORDINATE,
     Dataset,
@@ -30,7 +30,15 @@ from detsegeval.errors import (
 )
 from detsegeval.fixtures import generate_fixture
 from detsegeval.geometry import PolygonSet, rasterize
-from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
+from conftest import (
+    annotation,
+    det_pred,
+    image,
+    make_gt,
+    seg_pred,
+    traced_peak_bytes,
+    write_json_file,
+)
 
 
 def dataset_to_dict(dataset: Dataset) -> dict:
@@ -592,14 +600,16 @@ class TestColumnarLoaders:
         assert columns is not None
         ds = load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
         assert columns == (list(ds.images), list(ds.instances))
-        assert coco._detection_columns(_FIXTURE["det"], ds, coco.ValidationReport()) is not None
+        for task in ("detection", "segmentation"):
+            items = _FIXTURE["det" if task == "detection" else "seg"]
+            assert coco._prediction_columns(items, ds, task, coco.ValidationReport()) is not None
 
     def test_overhang_warnings_in_index_order(self, tiny_gt_path):
         ds = load_ground_truth(tiny_gt_path)
         items = [det_pred(1, 0.5, [95, 10, 10, 10]), det_pred(2, 0.5, [10, 10, 5, 5]),
                  det_pred(1, 0.25, [-3, -3, 10, 10])]
         retained, report = parse_predictions(items, ds, "detection")
-        assert coco._detection_columns(items, ds, coco.ValidationReport()) is not None
+        assert coco._prediction_columns(items, ds, "detection", coco.ValidationReport()) is not None
         assert [(w.code, w.location) for w in report.warnings] == \
                [("BoxOutsideImage", "predictions[0]"), ("BoxOutsideImage", "predictions[2]")]
         assert report.warnings[1].message == \
@@ -652,6 +662,64 @@ class TestColumnarLoaders:
             return retained, report.to_dict()
 
         fast = _outcome(parse)
-        with mock.patch.object(coco, "_detection_columns", lambda *args: None):
+        with mock.patch.object(coco, "_prediction_columns", lambda *args: None):
             slow = _outcome(parse)
         assert fast == slow
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_segmentation_fuzz(self, tmp_path_factory, data):
+        """``validate``'s report, strict and lenient, from a segmentation
+        file with faults that only the rasterizer sees mixed with others."""
+        work = tmp_path_factory.getbasetemp()
+        gt = write_json_file(work / "fixture_gt.json", _FIXTURE["gt"])
+        items = copy.deepcopy(_FIXTURE["seg"])
+        for _ in range(data.draw(st.integers(0, 3))):
+            key, value = data.draw(st.sampled_from(_SEG_FAULTS))
+            items[data.draw(st.integers(0, len(items) - 1))][key] = copy.deepcopy(value)
+        if data.draw(st.booleans()):
+            items = _mutate(items, data)
+        preds = write_json_file(work / "fuzz_seg.json", items)
+
+        def validate():
+            outcome = []
+            for mode in ([], ["--lenient"]):
+                out = work / "fuzz_report.json"
+                code = cli.main(["validate", str(gt), str(preds), "--task", "seg",
+                                 "--out", str(out), *mode])
+                outcome.append((code, out.read_bytes()))
+            return outcome
+
+        fast = validate()
+        with mock.patch.object(coco, "_prediction_columns", lambda *args: None):
+            slow = validate()
+        assert fast == slow
+
+    def test_segmentation_memory_is_bounded(self):
+        """400 polygons of about 3000 rows each are 2.4M edge-row
+        crossings.  One rasterizer pass over all of them would hold at
+        least their int64 rows, columns and sort order, 58 MB."""
+        ds = Dataset([coco.ImageRecord(1, 64, 3100, "tall.jpg")], [], 1, "rip_current")
+        items = [seg_pred(1, 0.5, [[k % 50, 20, k % 50 + 10, 30, k % 50 + 12, 3050,
+                                    k % 50 + 2, 3040]]) for k in range(400)]
+        retained = []
+        peak = traced_peak_bytes(
+            lambda: retained.extend(parse_predictions(items, ds, "segmentation")[0]))
+        assert len(retained) == 400
+        assert peak < 16 * 2 ** 20
+
+
+# Faults a segmentation file may hold; the first three polygons set no
+# pixel (between pixel centres, left of and below the image).
+_SEG_FAULTS = [
+    ("segmentation", [[1.1, 1.1, 1.4, 1.1, 1.1, 1.4]]),
+    ("segmentation", [[-10, 5, -5, 5, -5, 20]]),
+    ("segmentation", [[0, 1000, 50, 1000, 50, 1060]]),
+    ("segmentation", [[0, 0, 5, 5]]),
+    ("segmentation", [[0, 0, 5, 5, 9, 9]]),
+    ("segmentation", [[0, 0, 5, 0, "5", 5]]),
+    ("segmentation", {"counts": "abc", "size": [4, 4]}),
+    ("image_id", 999),
+    ("score", 1.5),
+    ("score", float("nan")),
+]

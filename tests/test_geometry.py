@@ -5,13 +5,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import detsegeval
+from detsegeval import geometry
 from detsegeval.errors import (
+    CoordinateBoundError,
     DegenerateRingError,
     DimensionMismatchError,
     EmptyMaskError,
@@ -22,6 +25,7 @@ from detsegeval.geometry import (
     RunMask,
     box_ioa,
     box_iou,
+    box_iou_columns,
     connected_components,
     mask_iou,
     morphology,
@@ -29,6 +33,7 @@ from detsegeval.geometry import (
     polygon_to_bbox,
     rasterize,
     rasterize_runs,
+    rasterize_runs_many,
     ring_perimeter,
     simplify_polygon,
     trace_largest_contour,
@@ -218,6 +223,106 @@ class TestRunMask:
         with pytest.raises(DimensionMismatchError):
             mask_iou(rasterize_runs(square, 4, 4), rasterize_runs(square, 5, 4))
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_framed_polygon_pair())
+    def test_iou_is_symmetric_and_bounded(self, case):
+        width, height, rings_a, rings_b = case
+        a = rasterize_runs(poly(*rings_a), width, height)
+        b = rasterize_runs(poly(*rings_b), width, height)
+        iou = mask_iou(a, b)
+        assert iou == mask_iou(b, a)
+        assert 0.0 <= iou <= 1.0
+        assert mask_iou(a, a) == (1.0 if a.area else 0.0)
+
+
+def _pixels_of(mask):
+    return {(r, c) for r, s, e in zip(mask.rows.tolist(), mask.starts.tolist(),
+                                      mask.ends.tolist()) for c in range(s, e)}
+
+
+@st.composite
+def _raster_batch(draw):
+    """Polygons, each on its own frame, for one rasterizer call: 1x1
+    frames, rings reaching past every frame edge, multi-ring sets and at
+    times a 10**12 x 10**12 frame, too large for the one-key sort; and a
+    crossing cap that may split the call into many passes."""
+    def item(width, height, extent):
+        def coord(side):
+            return draw(st.integers(-12, 4 * side + 12)) / 4
+        rings = [[v for _ in range(draw(st.integers(3, 6)))
+                  for v in (coord(extent[0]), coord(extent[1]))]
+                 for _ in range(draw(st.integers(1, 3)))]
+        return rings, width, height
+
+    items = []
+    for _ in range(draw(st.integers(1, 8))):
+        width = draw(st.one_of(st.just(1), st.integers(1, 12)))
+        height = draw(st.one_of(st.just(1), st.integers(1, 12)))
+        items.append(item(width, height, (width, height)))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), item(10 ** 12, 10 ** 12, (12, 12)))
+    return items, draw(st.sampled_from([1, 2, 5, 40, 1 << 16]))
+
+
+class TestRasterizeMany:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_raster_batch())
+    def test_matches_oracle_and_single_calls(self, case):
+        items, cap = case
+        polys = [(poly(*rings), width, height) for rings, width, height in items]
+        with mock.patch.object(geometry, "_PASS_CROSSINGS", cap):
+            masks = list(rasterize_runs_many(polys))
+        assert len(masks) == len(items)
+        for mask, (p, width, height), (rings, _, _) in zip(masks, polys, items):
+            single = rasterize_runs(p, width, height)
+            assert (mask.width, mask.height) == (width, height)
+            for got, want in ((mask.rows, single.rows), (mask.starts, single.starts),
+                              (mask.ends, single.ends)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert _pixels_of(mask) == polygon_pixels(rings, width, height)
+
+    def test_empty_list(self):
+        assert list(rasterize_runs_many([])) == []
+
+    def test_polygon_without_rings_is_empty(self):
+        square = poly([0, 0, 4, 0, 4, 4, 0, 4])
+        masks = list(rasterize_runs_many([(square, 8, 8), (PolygonSet(()), 8, 8),
+                                          (square, 4, 2)]))
+        assert [m.area for m in masks] == [16, 0, 8]
+
+    def test_unbounded_vertex_raises(self):
+        # The triangle covers all 32 pixels, but 1e308 is beyond the bound:
+        # its differences would overflow and the crossings turn to NaN.
+        triangle = PolygonSet(((1e308, 0.5, -1e308, 10.5, -1e308, 0.5),))
+        with pytest.raises(CoordinateBoundError):
+            rasterize(triangle, 8, 4)
+        at_bound = PolygonSet(((2.0 ** 64, 0.5, -2.0 ** 64, 10.5, -2.0 ** 64, 0.5),))
+        assert int(rasterize(at_bound, 8, 4).sum()) == 32
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+    def test_non_finite_vertex_raises(self, value):
+        bad = PolygonSet(((0.0, 0.0, value, 0.0, 4.0, 4.0),))
+        square = poly([0, 0, 4, 0, 4, 4, 0, 4])
+        with pytest.raises(CoordinateBoundError):
+            list(rasterize_runs_many([(square, 8, 8), (bad, 8, 8)]))
+
+    def test_frame_side_bound(self):
+        square = poly([0, 0, 4, 0, 4, 4, 0, 4])
+        assert rasterize_runs(square, geometry.MAX_IMAGE_SIDE, 8).area == 16
+        for width, height in ((0, 8), (8, 0), (geometry.MAX_IMAGE_SIDE + 1, 8)):
+            with pytest.raises(ValueError):
+                rasterize_runs(square, width, height)
+
+
+def _box():
+    """A box on a lattice or with real coordinates; the lattice makes
+    shared and touching edges common, the reals rounding in ``x + w``."""
+    lattice = st.integers(-4, 8).map(float)
+    real = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.1, 0.2, 0.3, 1e-300])
+    side = (st.integers(1, 6).map(float) | st.floats(1e-300, 1e6)
+            | st.sampled_from([0.1, 0.2, 0.7, 2.0 ** 64]))
+    return st.builds(BBox, lattice | real, lattice | real, side, side)
+
 
 class TestBoxOverlap:
     def test_identical(self):
@@ -249,6 +354,23 @@ class TestBoxOverlap:
             assert iou <= min(box_ioa(a, b), box_ioa(b, a)) + 1e-12
             assert 0.0 <= iou <= 1.0
             assert box_iou(a, b) == box_iou(b, a)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(_box(), _box()), min_size=1, max_size=8))
+    def test_iou_is_symmetric_bounded_and_columnar(self, pairs):
+        ious = [box_iou(a, b) for a, b in pairs]
+        assert ious == [box_iou(b, a) for a, b in pairs]
+        assert all(0.0 <= iou <= 1.0 for iou in ious)
+        cols = box_iou_columns(np.array([a.as_list() for a, _ in pairs]),
+                               np.array([b.as_list() for _, b in pairs]))
+        # Bit for bit: equal floats with equal signs.
+        assert [v.hex() for v in cols.tolist()] == [v.hex() for v in ious]
+
+    def test_rounded_extent_is_capped(self):
+        # 0.1 + 0.2 - 0.1 rounds above 0.2, so the raw ratio exceeds 1.
+        box = BBox(0.1, 0.1, 0.2, 0.2)
+        assert box_iou(box, box) == 1.0
+        assert box_iou_columns(np.array([box.as_list()]), np.array([box.as_list()]))[0] == 1.0
 
     def test_fine_raster_cross_check(self):
         # analytic IoU vs a 10x-subsampled raster of both boxes
