@@ -8,7 +8,7 @@ The low-level operations are pure functions over per-image inputs:
 scored boxes are ``(BBox, score)`` pairs, scored polygons are
 ``(PolygonSet, score)`` pairs, probability masks are float arrays in
 ``[0, 1]``.  The named pipeline presets compose these operations over
-whole prediction sets.
+whole prediction sets; the table ``_PRESETS`` defines each of them.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .geometry import (
     box_ioa,
     connected_components,
     morphology,
+    paint_runs,
     polygon_to_bbox,
     rasterize,
     rasterize_runs_many,
@@ -49,9 +50,6 @@ from .geometry import (
 
 ScoredBox = tuple[BBox, float]
 ScoredPoly = tuple[PolygonSet, float]
-
-PRESETS = ("identity", "uno", "sigmoid", "kmg", "ntr", "visionx")
-
 
 @dataclass(frozen=True)
 class FusionParams:
@@ -101,12 +99,16 @@ class FusionParams:
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not math.isclose(self.w_seg + self.w_det, 1.0, abs_tol=1e-9):
             raise ValueError("w_seg + w_det must equal 1")
-        for name in ("iou_gate", "penalty", "wbf_iou", "ensemble_threshold",
-                     "seg_conf", "det_conf", "merge_iou", "merge_ioa",
-                     "cross_iou", "keep_conf", "guide_iou", "overlap_gate"):
+        for name in ("iou_gate", "penalty", "wbf_iou", "seg_conf", "det_conf",
+                     "merge_iou", "merge_ioa", "cross_iou", "keep_conf", "guide_iou",
+                     "overlap_gate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        # At 0 every pixel passes, so uno would emit a frame-sized instance per image.
+        if not (0.0 < self.ensemble_threshold <= 1.0):
+            raise ValueError("ensemble_threshold must lie in (0, 1], "
+                             f"got {self.ensemble_threshold}")
         if self.min_region_area < 0 or self.ensemble_min_area < 0:
             raise ValueError("area floors must be >= 0")
         if self.eps_ratio < 0:
@@ -210,9 +212,7 @@ def refine_segmentation(poly: PolygonSet, width: int, height: int,
 
     Returns None when nothing survives the area floor or simplification
     collapses the contour below 3 vertices."""
-    mask = rasterize(poly, width, height)
-    if mask.any():
-        mask = morphology(mask, "close", params.close_kernel, 1)
+    mask = morphology(rasterize(poly, width, height), "close", params.close_kernel, 1)
     comps = connected_components(mask)
     if not comps or comps[0].area < params.min_region_area:
         return None
@@ -368,18 +368,6 @@ def _check_same_shape(masks: Sequence[np.ndarray]) -> None:
 
 # --- pipeline presets ----------------------------------------------------------
 
-PRESET_PARAM_OVERRIDES: dict[str, dict] = {"ntr": {"wbf_iou": 0.5}}
-
-
-def preset_params(preset: str, overrides: Optional[dict] = None) -> FusionParams:
-    """Resolve parameters: built-in defaults < preset values < overrides."""
-    if preset not in PRESETS:
-        raise UnknownPresetError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    merged = dict(PRESET_PARAM_OVERRIDES.get(preset, {}))
-    merged.update(overrides or {})
-    return FusionParams().with_overrides(**merged)
-
-
 def _boxes_of(instances: Sequence[PredictionInstance]) -> list[ScoredBox]:
     return [(p.bbox, p.score) for p in instances]
 
@@ -392,36 +380,24 @@ def _derived_boxes(polys: Sequence[ScoredPoly]) -> list[ScoredBox]:
     return [(polygon_to_bbox(poly), score) for poly, score in polys]
 
 
-def _semantic_maps(models: Sequence[Sequence[PredictionInstance]], width: int,
-                   height: int, whole_frame: bool = False
+def _semantic_maps(models: Sequence[Sequence[PredictionInstance]], width: int, height: int
                    ) -> Optional[tuple[list[np.ndarray], int, int]]:
-    """Each model's union of instance masks as a 0/1 float64 map, all on
-    one window of the ``height x width`` frame, with the window's
-    top-left pixel ``(x0, y0)``; None when no model sets a pixel.
+    """Each model's union of instance masks as a bool map, all on one
+    window of the ``height x width`` frame, with the window's top-left
+    pixel ``(x0, y0)``; None when no model sets a pixel.
 
     The window is the union of every model's foreground windows, so each
-    pixel outside it is 0 in every map, and so in every mean, maximum
-    and threshold above 0 of the maps.  A caller whose threshold lets 0
-    through passes ``whole_frame``."""
+    pixel outside it is 0 in every map and in every mean and maximum of
+    the maps, below every threshold ``FusionParams`` accepts."""
     masks = rasterize_runs_many((inst.segmentation, width, height)
                                 for insts in models for inst in insts)
     runs = [list(islice(masks, len(insts))) for insts in models]
-    if whole_frame:
-        y0, y1, x0, x1 = 0, height, 0, width
-    else:
-        hit = [r for rs in runs for r in rs if r.rows.size]
-        if not hit:
-            return None
-        y0, y1 = min(int(r.rows[0]) for r in hit), max(int(r.rows[-1]) for r in hit) + 1
-        x0, x1 = min(int(r.starts.min()) for r in hit), max(int(r.ends.max()) for r in hit)
-    maps = []
-    for rs in runs:
-        m = np.zeros((y1 - y0, x1 - x0))
-        for r in rs:
-            for row, start, end in zip(r.rows.tolist(), r.starts.tolist(), r.ends.tolist()):
-                m[row - y0, start - x0:end - x0] = 1.0
-        maps.append(m)
-    return maps, x0, y0
+    hit = [r for rs in runs for r in rs if r.rows.size]
+    if not hit:
+        return None
+    y0, y1 = min(int(r.rows[0]) for r in hit), max(int(r.rows[-1]) for r in hit) + 1
+    x0, x1 = min(int(r.starts.min()) for r in hit), max(int(r.ends.max()) for r in hit)
+    return [paint_runs(rs, y1 - y0, x1 - x0, y0, x0) for rs in runs], x0, y0
 
 
 def _to_frame(payload: PolygonSet | BBox, x0: int, y0: int) -> PolygonSet | BBox:
@@ -433,131 +409,135 @@ def _to_frame(payload: PolygonSet | BBox, x0: int, y0: int) -> PolygonSet | BBox
                             for ring in payload.rings))
 
 
+# Each pipeline maps one image's inputs, per model, to its fused
+# ``(payload, score)`` pairs: ``dets`` and ``segs`` hold the image's
+# instances of each detection and each segmentation input.
+
+def _identity(image, dets, segs, task, params):
+    if task == DETECTION:
+        return [pair for insts in dets for pair in _boxes_of(insts)]
+    return [pair for insts in segs for pair in _polys_of(insts)]
+
+
+def _uno(image, dets, segs, task, params):
+    maps = _semantic_maps(segs, image.width, image.height)
+    if maps is None:
+        return []
+    prob, x0, y0 = maps
+    fused = average_mask_ensemble(prob, params)
+    if task == DETECTION:
+        fused = _derived_boxes(fused)
+    return [(_to_frame(payload, x0, y0), score) for payload, score in fused]
+
+
+def _sigmoid(image, dets, segs, task, params):
+    refined: list[ScoredPoly] = []
+    for insts in segs:
+        for inst in insts:
+            poly = refine_segmentation(inst.segmentation, image.width, image.height, params)
+            if poly is not None:
+                refined.append((poly, inst.score))
+    det_pairs = [pair for insts in dets for pair in _boxes_of(insts)]
+    rescored = fuse_seg_det_scores(refined, det_pairs, params)
+    if task == SEGMENTATION:
+        return confidence_filter(rescored, params.seg_conf)
+    branches = [_boxes_of(insts) for insts in dets] + [_derived_boxes(rescored)]
+    return confidence_filter(weighted_box_fusion(branches, params.wbf_iou), params.det_conf)
+
+
+def _kmg(image, dets, segs, task, params):
+    merged = [merge_boxes_iou_ioa(_boxes_of(insts), params.merge_iou, params.merge_ioa)
+              for insts in dets]
+    final = merged[0]
+    for other in merged[1:]:
+        final = cross_model_merge(final, other, params.cross_iou, params.keep_conf)
+    if task == DETECTION:
+        return final
+    seg_pairs = [pair for insts in segs for pair in _polys_of(insts)]
+    return detection_guided_filter(seg_pairs, final, params.guide_iou)
+
+
+def _ntr(image, dets, segs, task, params):
+    if task == DETECTION:
+        branches = [_boxes_of(insts) for insts in dets]
+        branches += [_derived_boxes(_polys_of(insts)) for insts in segs]
+        return weighted_box_fusion(branches, params.wbf_iou)
+    out = []
+    for insts in segs:
+        for inst in insts:
+            mask = morphology(rasterize(inst.segmentation, image.width, image.height),
+                              "open", params.open_kernel, params.open_iterations)
+            if mask.any():
+                out.append((trace_largest_contour(mask), inst.score))
+    return out
+
+
+def _visionx(image, dets, segs, task, params):
+    maps = _semantic_maps(segs, image.width, image.height)
+    if maps is None:
+        return []
+    prob, x0, y0 = maps
+    merged_map = soft_mask_merge(prob, params.overlap_gate)
+    # An opening is exact on the window: its erosion needs a full side x
+    # side square of foreground, which a window shorter than the side
+    # cannot hold.  A closing would not be.
+    binary = morphology(merged_map >= 0.5, "open", params.refine_kernel, 1)
+    out = []
+    for comp in connected_components(binary):
+        if comp.area < params.min_region_area:
+            continue
+        score = float(merged_map[comp.window][comp.mask].mean())
+        payload = PolygonSet((comp.outer_ring(),)) if task == SEGMENTATION else comp.bbox
+        out.append((_to_frame(payload, x0, y0), score))
+    return out
+
+
+# name -> (per-image pipeline, input tasks of which at least one must be
+# given, preset parameter values over the FusionParams defaults)
+_PRESETS = {
+    "identity": (_identity, (), {}),
+    "uno": (_uno, (SEGMENTATION,), {}),
+    "sigmoid": (_sigmoid, (SEGMENTATION,), {}),
+    "kmg": (_kmg, (DETECTION,), {}),
+    "ntr": (_ntr, (DETECTION, SEGMENTATION), {"wbf_iou": 0.5}),
+    "visionx": (_visionx, (SEGMENTATION,), {}),
+}
+PRESETS = tuple(_PRESETS)
+
+
+def _preset(name: str) -> tuple:
+    if name not in _PRESETS:
+        raise UnknownPresetError(f"unknown preset {name!r}; choose from {PRESETS}")
+    return _PRESETS[name]
+
+
+def preset_params(preset: str, overrides: Optional[dict] = None) -> FusionParams:
+    """Resolve parameters: built-in defaults < preset values < overrides."""
+    return FusionParams().with_overrides(**{**_preset(preset)[2], **(overrides or {})})
+
+
 def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
                task: str, params: Optional[FusionParams] = None) -> PredictionSet:
     """Run a named pipeline over loaded prediction sets and return a fused
     prediction set for the requested task."""
-    if preset not in PRESETS:
-        raise UnknownPresetError(f"unknown preset {preset!r}; choose from {PRESETS}")
+    pipeline, needs, _ = _preset(preset)
+    if needs and not any(s.task in needs for s in inputs):
+        raise ValueError(f"preset {preset!r} requires {' or '.join(needs)} inputs")
     if params is None:
         params = preset_params(preset)
     det_sets = [s for s in inputs if s.task == DETECTION]
     seg_sets = [s for s in inputs if s.task == SEGMENTATION]
-
-    if preset in ("uno", "visionx") and not seg_sets:
-        raise ValueError(f"preset {preset!r} requires segmentation inputs")
-    if preset == "ntr" and not (det_sets or seg_sets):
-        raise ValueError("preset 'ntr' requires at least one input")
-    if preset == "kmg" and not det_sets:
-        raise ValueError("preset 'kmg' requires detection inputs")
-    if preset == "sigmoid" and not seg_sets:
-        raise ValueError("preset 'sigmoid' requires segmentation inputs")
-
-    results: list[tuple[int, object, float]] = []  # (image_id, payload, score)
+    instances: list[PredictionInstance] = []
     for image in dataset.images:
-        w, h = image.width, image.height
-        dets_img = [s.instances_for(image.id) for s in det_sets]
-        segs_img = [s.instances_for(image.id) for s in seg_sets]
-
-        if preset == "identity":
-            for insts in (dets_img if task == DETECTION else segs_img):
-                for inst in insts:
-                    payload = inst.bbox if task == DETECTION else inst.segmentation
-                    results.append((image.id, payload, inst.score))
-
-        elif preset == "uno":
-            maps = _semantic_maps(segs_img, w, h,
-                                  whole_frame=params.ensemble_threshold <= 0)
-            if maps is None:
-                continue
-            prob, x0, y0 = maps
-            for poly, score in average_mask_ensemble(prob, params):
-                payload = poly if task == SEGMENTATION else polygon_to_bbox(poly)
-                results.append((image.id, _to_frame(payload, x0, y0), score))
-
-        elif preset == "sigmoid":
-            refined: list[ScoredPoly] = []
-            for insts in segs_img:
-                for inst in insts:
-                    poly = refine_segmentation(inst.segmentation, w, h, params)
-                    if poly is not None:
-                        refined.append((poly, inst.score))
-            det_pairs = [pair for insts in dets_img for pair in _boxes_of(insts)]
-            rescored = fuse_seg_det_scores(refined, det_pairs, params)
-            if task == SEGMENTATION:
-                for poly, score in confidence_filter(rescored, params.seg_conf):
-                    results.append((image.id, poly, score))
-            else:
-                branches: list[list[ScoredBox]] = [_boxes_of(insts) for insts in dets_img]
-                branches.append(_derived_boxes(rescored))
-                fused = weighted_box_fusion(branches, params.wbf_iou)
-                for box, score in confidence_filter(fused, params.det_conf):
-                    results.append((image.id, box, score))
-
-        elif preset == "kmg":
-            merged = [
-                merge_boxes_iou_ioa(_boxes_of(insts), params.merge_iou, params.merge_ioa)
-                for insts in dets_img
-            ]
-            final = merged[0]
-            for other in merged[1:]:
-                final = cross_model_merge(final, other, params.cross_iou, params.keep_conf)
-            if task == DETECTION:
-                for box, score in final:
-                    results.append((image.id, box, score))
-            else:
-                segs = [pair for insts in segs_img for pair in _polys_of(insts)]
-                for poly, score in detection_guided_filter(segs, final, params.guide_iou):
-                    results.append((image.id, poly, score))
-
-        elif preset == "ntr":
-            if task == DETECTION:
-                branches = [_boxes_of(insts) for insts in dets_img]
-                branches += [_derived_boxes(_polys_of(insts)) for insts in segs_img]
-                for box, score in weighted_box_fusion(branches, params.wbf_iou):
-                    results.append((image.id, box, score))
-            else:
-                for insts in segs_img:
-                    for inst in insts:
-                        mask = rasterize(inst.segmentation, w, h)
-                        mask = morphology(mask, "open", params.open_kernel,
-                                          params.open_iterations)
-                        if not mask.any():
-                            continue
-                        poly = trace_largest_contour(mask)
-                        results.append((image.id, poly, inst.score))
-
-        elif preset == "visionx":
-            maps = _semantic_maps(segs_img, w, h)
-            if maps is None:
-                continue
-            prob, x0, y0 = maps
-            merged_map = soft_mask_merge(prob, params.overlap_gate)
-            binary = merged_map >= 0.5
-            # An opening is exact on the window: its erosion needs a full
-            # side x side square of foreground, which a window shorter
-            # than the side cannot hold.  A closing would not be.
-            if binary.any():
-                binary = morphology(binary, "open", params.refine_kernel, 1)
-            for comp in connected_components(binary):
-                if comp.area < params.min_region_area:
-                    continue
-                score = float(merged_map[comp.window][comp.mask].mean())
-                if task == SEGMENTATION:
-                    payload: object = PolygonSet((comp.outer_ring(),))
-                else:
-                    payload = comp.bbox
-                results.append((image.id, _to_frame(payload, x0, y0), score))
-
-    instances = [
-        PredictionInstance(
-            image_id=image_id,
-            score=float(score),
-            category_id=dataset.category_id,
-            source_index=k,
-            bbox=payload if isinstance(payload, BBox) else None,
-            segmentation=payload if isinstance(payload, PolygonSet) else None,
-        )
-        for k, (image_id, payload, score) in enumerate(results)
-    ]
+        pairs = pipeline(image, [s.instances_for(image.id) for s in det_sets],
+                         [s.instances_for(image.id) for s in seg_sets], task, params)
+        for payload, score in pairs:
+            instances.append(PredictionInstance(
+                image_id=image.id,
+                score=float(score),
+                category_id=dataset.category_id,
+                source_index=len(instances),
+                bbox=payload if isinstance(payload, BBox) else None,
+                segmentation=payload if isinstance(payload, PolygonSet) else None,
+            ))
     return PredictionSet(task, instances)

@@ -161,10 +161,28 @@ class RunMask:
         return cls(width, height, rows, starts, ends)
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=bool)
-        for r, s, e in zip(self.rows.tolist(), self.starts.tolist(), self.ends.tolist()):
-            out[r, s:e] = True
-        return out
+        return paint_runs([self], self.height, self.width)
+
+
+def paint_runs(masks: Sequence[RunMask], height: int, width: int,
+               y0: int = 0, x0: int = 0) -> np.ndarray:
+    """The union of ``masks`` as a bool ``height x width`` window of their
+    frame whose top-left pixel is ``(x0, y0)``; every run must lie inside
+    the window.  The flattened window alternates gaps and runs, so one
+    ``repeat`` of a False/True pattern paints it, with no array larger
+    than the window (a flat index of the pixels would take 8 bytes each)."""
+    if not masks:
+        return np.zeros((height, width), dtype=bool)
+    rows, starts, ends = (np.concatenate([getattr(m, name) for m in masks])
+                          for name in ("rows", "starts", "ends"))
+    if len(masks) > 1:  # runs of different masks may overlap
+        rows, starts, ends = _union(rows, starts, ends)
+    first = (rows - y0) * width + (starts - x0)
+    bounds = np.empty(2 * len(first) + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, height * width
+    bounds[1:-1:2], bounds[2:-1:2] = first, first + (ends - starts)
+    pattern = np.arange(len(bounds) - 1) % 2 == 1
+    return pattern.repeat(np.diff(bounds)).reshape(height, width)
 
 
 # Pixel centres i + 0.5 stay exact in float64 up to this side length.

@@ -359,9 +359,12 @@ class TestFuse:
         ({"preset": "sigmoid"}, ["close_kernel=0"]),
         ({"preset": "visionx"}, ["refine_kernel=-3"]),
         ({"preset": "ntr"}, ["open_iterations=0"]),
+        ({"preset": "sigmoid"}, ["iou_gate=1.5"]),
+        ({"preset": "uno"}, ["ensemble_min_area=-1"]),
     ], ids=["float-for-int", "string-for-float", "bool-for-int", "bool-for-float",
             "nan-float", "inf-float", "int-past-float-range", "negative-eps-ratio",
-            "even-kernel", "zero-kernel", "negative-kernel", "zero-iterations"])
+            "even-kernel", "zero-kernel", "negative-kernel", "zero-iterations",
+            "above-unit-interval", "negative-area-floor"])
     def test_mistyped_parameter_exit_3(self, workspace, capsys, config, sets):
         root, gt, det, seg = workspace
         cfg = write_json_file(root / "pipeline.json", config)
@@ -371,6 +374,25 @@ class TestFuse:
             argv += ["--set", pair]
         assert run(argv) == 3
         assert "configuration error" in capsys.readouterr().err
+        assert not (root / "x.json").exists()
+
+    @pytest.mark.parametrize("preset,inputs,needs", [
+        ("uno", "det", "segmentation"), ("visionx", "det", "segmentation"),
+        ("sigmoid", "det", "segmentation"), ("kmg", "seg", "detection"),
+    ])
+    def test_missing_input_task_exit_3(self, workspace, capsys, preset, inputs, needs):
+        root, gt, det, seg = workspace
+        assert run(["fuse", gt, det if inputs == "det" else seg, "--preset", preset,
+                    "--task", "seg", "--out", root / "x.json"]) == 3
+        assert (f"configuration error: preset {preset!r} requires {needs} inputs"
+                in capsys.readouterr().err)
+        assert not (root / "x.json").exists()
+
+    def test_zero_ensemble_threshold_exit_3(self, workspace, capsys):
+        root, gt, _, seg = workspace
+        assert run(["fuse", gt, seg, "--preset", "uno", "--set", "ensemble_threshold=0",
+                    "--out", root / "x.json"]) == 3
+        assert "configuration error: ensemble_threshold" in capsys.readouterr().err
         assert not (root / "x.json").exists()
 
     def test_sigmoid_collapsing_simplification_exit_0(self, workspace):

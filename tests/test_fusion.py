@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from detsegeval.errors import (
     UnknownPresetError,
 )
 from detsegeval.fusion import (
+    PRESETS,
     FusionParams,
     average_mask_ensemble,
     confidence_filter,
@@ -75,6 +78,8 @@ class TestFusionParams:
     @pytest.mark.parametrize("override", [
         {"eps_ratio": math.nan}, {"eps_ratio": -0.1}, {"open_kernel": 4},
         {"close_kernel": 0}, {"refine_kernel": -3}, {"open_iterations": 0},
+        {"iou_gate": 1.5}, {"seg_conf": -0.1},
+        {"min_region_area": -1}, {"ensemble_min_area": -1},
     ])
     def test_unusable_values_rejected_up_front(self, override):
         with pytest.raises(ValueError):
@@ -103,6 +108,11 @@ class TestConfidenceFilter:
     def test_all_below_one(self):
         items = [(None, 0.3), (None, 0.99)]
         assert confidence_filter(items, 1.0) == []
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.1, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            confidence_filter([(None, 0.5)], threshold)
 
     def test_idempotent(self):
         rng = random.Random(1)
@@ -301,6 +311,11 @@ class TestMergeBoxesIouIoa:
         boxes = [(BBox(0, 0, 5, 5), 0.9), (BBox(0, 0, 5, 5), 0.7)]
         assert merge_boxes_iou_ioa(boxes, 0.5, 0.9) == [boxes[0]]
 
+    @pytest.mark.parametrize("iou_thr,ioa_thr", [(0.0, 0.8), (0.5, 0.0), (1.5, 0.8), (0.5, 1.1)])
+    def test_thresholds_outside_half_open_interval_rejected(self, iou_thr, ioa_thr):
+        with pytest.raises(ValueError, match="thresholds"):
+            merge_boxes_iou_ioa([(BBox(0, 0, 5, 5), 0.9)], iou_thr, ioa_thr)
+
     def test_every_dropped_box_overlapped_a_kept_one(self):
         from detsegeval.geometry import box_ioa
         rng = random.Random(7)
@@ -340,6 +355,23 @@ class TestCrossModelMerge:
         a = [(BBox(0, 0, 10, 10), 0.7)]
         out = cross_model_merge(a, [], 0.5, keep_conf=0.3)
         assert out == a
+
+    @pytest.mark.parametrize("score_b2,kept", [(0.6, True), (0.4, False)])
+    def test_matching_is_one_to_one(self, score_b2, kept):
+        # Both boxes of b overlap a's box above the threshold (IoU 0.82
+        # and 0.67); only the best pair merges, and the other box of b is
+        # then unmatched, so it survives only at or above keep_conf.
+        a = [(BBox(0, 0, 10, 10), 0.9)]
+        b = [(BBox(1, 0, 10, 10), 0.7), (BBox(2, 0, 10, 10), score_b2)]
+        out = cross_model_merge(a, b, 0.5, keep_conf=0.5)
+        assert out[0][0] == BBox(0.5, 0, 10, 10)
+        assert out[0][1] == pytest.approx(0.8)
+        assert out[1:] == ([b[1]] if kept else [])
+
+    @pytest.mark.parametrize("iou_thr", [0.0, -0.5, 1.5])
+    def test_threshold_outside_half_open_interval_rejected(self, iou_thr):
+        with pytest.raises(ValueError, match="iou_thr"):
+            cross_model_merge([(BBox(0, 0, 5, 5), 0.9)], [], iou_thr, 0.5)
 
 
 class TestDetectionGuidedFilter:
@@ -432,6 +464,12 @@ class TestPresets:
         assert [(p.image_id, p.score, p.bbox) for p in out.instances] == \
                [(p.image_id, p.score, p.bbox) for p in sets["det_a"].instances]
 
+    def test_readme_table_lists_every_preset_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Fusion presets", 1)[1].split("\n#", 1)[0]
+        names = re.findall(r"^\| `(\w+)` +\|", section, flags=re.MULTILINE)
+        assert tuple(names) == PRESETS
+
     def test_unknown_preset(self, fusion_setup):
         ds, sets = fusion_setup
         with pytest.raises(UnknownPresetError):
@@ -460,6 +498,11 @@ class TestPresets:
         ds, sets = fusion_setup
         with pytest.raises(ValueError):
             run_preset("uno", ds, [sets["det_a"]], "segmentation")
+
+    def test_ntr_requires_an_input(self, fusion_setup):
+        ds, _ = fusion_setup
+        with pytest.raises(ValueError, match="preset 'ntr' requires"):
+            run_preset("ntr", ds, [], "detection")
 
     def test_ntr_on_two_detection_inputs_is_wbf(self, fusion_setup, tmp_path):
         ds, sets = fusion_setup
@@ -559,7 +602,7 @@ def _window_case(draw):
             per_image.append(polys)
         models.append(per_image)
     params = P.with_overrides(
-        ensemble_threshold=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        ensemble_threshold=draw(st.sampled_from([1e-9, 0.3, 0.5, 1.0])),
         ensemble_min_area=draw(st.sampled_from([0, 4, 100])),
         min_region_area=draw(st.sampled_from([0, 4, 24])),
         overlap_gate=draw(st.sampled_from([0.0, 0.5, 1.0])),
@@ -583,8 +626,8 @@ class TestSemanticWindow:
     @pytest.mark.parametrize("models,params", [
         # the second image has no seg instance in any model
         ([[[rect(4, 4, 20, 20)], []], [[rect(6, 5, 20, 20)], []]], {}),
-        # ... and an all-zero frame passes the uno threshold 0
-        ([[[rect(4, 4, 20, 20)], []]], {"ensemble_threshold": 0.0}),
+        # ... and no pixel of it passes the least uno threshold above 0
+        ([[[rect(4, 4, 20, 20)], []]], {"ensemble_threshold": 1e-9}),
         # blobs flush with the frame's corners
         ([[[rect(0, 0, 16, 12), rect(30, 28, 10, 12)], [rect(-5, 30, 20, 20)]]], {}),
         # models with disjoint windows
@@ -598,6 +641,12 @@ class TestSemanticWindow:
     def test_named_cases(self, preset, models, params):
         ds, sets = _scene([(40, 40), (40, 40)][:len(models[0])], models)
         _check_against_full_frame(preset, ds, sets, P.with_overrides(**params))
+
+    def test_zero_threshold_rejected(self):
+        # At 0 every pixel passes, so uno's window would have to be the
+        # whole frame; no such threshold is accepted.
+        with pytest.raises(ValueError, match="ensemble_threshold"):
+            preset_params("uno", {"ensemble_threshold": 0.0})
 
     @pytest.mark.parametrize("preset", ["uno", "visionx"])
     def test_big_frame_memory_is_bounded(self, preset):

@@ -29,6 +29,7 @@ from detsegeval.geometry import (
     connected_components,
     mask_iou,
     morphology,
+    paint_runs,
     polygon_area,
     polygon_to_bbox,
     rasterize,
@@ -211,6 +212,27 @@ class TestRunMask:
         assert runs.ends.tolist() == [7, 3, 6, 7]
         assert runs.area == int(m.sum())
         assert np.array_equal(runs.to_array(), m)
+
+    def test_paint_runs_matches_slice_loop(self):
+        # overlapping masks, and one without runs, painted on the window
+        # of rows 2.. and columns 1.. of their 9 x 11 frame
+        rng = np.random.default_rng(5)
+        frames = [rng.random((9, 11)) < 0.4 for _ in range(3)] + [np.zeros((9, 11), bool)]
+        for f in frames:
+            f[:2] = f[:, :1] = False
+        masks = [RunMask.from_array(f) for f in frames]
+        expected = np.zeros((7, 10), bool)
+        for m in masks:
+            for r, s, e in zip(m.rows, m.starts, m.ends):
+                expected[r - 2, s - 1:e - 1] = True
+        assert np.array_equal(paint_runs(masks, 7, 10, 2, 1), expected)
+        assert np.array_equal(expected, np.logical_or.reduce(frames)[2:, 1:])
+        assert not paint_runs([], 3, 4).any() and not paint_runs(masks[3:], 3, 4).any()
+
+    def test_painting_takes_no_more_than_the_frame(self):
+        # a flat index of the 8.9 M set pixels would take 72 MB
+        runs = rasterize_runs(poly([2, 2, 2990, 2, 2990, 2990, 2, 2990]), 3000, 3000)
+        assert traced_peak_bytes(runs.to_array) < 12 * 2**20
 
     def test_size_independent_of_frame(self):
         square = poly([5, 5, 15, 5, 15, 15, 5, 15])
