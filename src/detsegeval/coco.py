@@ -750,9 +750,12 @@ def predictions_to_list(preds: PredictionSet) -> list[dict]:
 
 _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
+# A list of at most this many exact ints (a box, or the report's
+# thousands of repeated [tp, fp, fn] triples) is encoded once per indent.
+_SHORT = 4
 
 
-def _encode(obj, indent: str) -> str:
+def _encode(obj, indent: str, ints: dict) -> str:
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -762,16 +765,21 @@ def _encode(obj, indent: str) -> str:
         return float.__repr__(obj)
     inner = indent + "  "
     if (kind is list or kind is tuple) and obj:
-        items = None
-        if _typed(obj, _NUMBER):
-            items = list(map(repr, obj))
-            if not _NON_FINITE.isdisjoint(items):
-                items = None
-        if items is None:
-            items = [_encode(v, inner) for v in obj]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+        kinds = set(map(type, obj))
+        cached = kinds == _INT and len(obj) <= _SHORT
+        if cached:
+            key = (indent, *obj)
+            if key in ints:
+                return ints[key]
+        items = list(map(repr, obj)) if kinds <= _NUMBER else None
+        if items is None or not _NON_FINITE.isdisjoint(items):
+            items = [_encode(v, inner, ints) for v in obj]
+        text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+        if cached:
+            ints[key] = text
+        return text
     if kind is dict and obj and _typed(obj, _STR):
-        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        items = [_quote(k) + ": " + _encode(v, inner, ints) for k, v in sorted(obj.items())]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     # JSON text holds no raw newline but the layout's own.
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
@@ -780,9 +788,9 @@ def _encode(obj, indent: str) -> str:
 def to_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.  Exact
     ``str``, ``int``, finite ``float``, ``list``, ``tuple`` and str-keyed
-    ``dict`` values are written here, numeric lists with one join; the
-    rest goes to ``json.dumps``."""
-    return _encode(obj, "")
+    ``dict`` values are written here, numeric lists with one join and
+    short int lists once per call; the rest goes to ``json.dumps``."""
+    return _encode(obj, "", {})
 
 
 def write_json(obj, path) -> None:

@@ -4,11 +4,17 @@ score fusion, averaged-mask ensembling, segmentation refinement, IoU/IoA
 merging, cross-detector merging, detection-guided filtering and soft mask
 merging.
 
-The low-level operations are pure functions over per-image inputs:
-scored boxes are ``(BBox, score)`` pairs, scored polygons are
-``(PolygonSet, score)`` pairs, probability masks are float arrays in
-``[0, 1]``.  The named pipeline presets compose these operations over
-whole prediction sets; the table ``_PRESETS`` defines each of them.
+The low-level operations are pure functions: scored boxes are
+``(BBox, score)`` pairs, scored polygons are ``(PolygonSet, score)``
+pairs, probability masks are float arrays in ``[0, 1]``.  Most take one
+image's inputs; ``merge_boxes_iou_ioa`` and ``cross_model_merge`` take a
+run of per-image box lists and measure all its same-image pairs in one
+columnar pass.
+
+The named pipeline presets compose these operations over whole
+prediction sets; the table ``_PRESETS`` defines each of them.  A
+pipeline sees the whole run at once, each model's instances on every
+image, and gives every image's fused pairs.
 """
 
 from __future__ import annotations
@@ -36,8 +42,11 @@ from .errors import (
 from .geometry import (
     BBox,
     PolygonSet,
+    box_columns,
+    box_ioa_columns,
     box_iou,
-    box_ioa,
+    box_iou_columns,
+    box_pair_rows,
     connected_components,
     morphology,
     paint_runs,
@@ -150,31 +159,34 @@ def weighted_box_fusion(model_outputs: Sequence[Sequence[ScoredBox]],
     list).  Each box joins the first cluster whose running fused box
     overlaps it at or above the threshold, else starts a new cluster.
     Fused coordinates are the score-weighted means of the members; the
-    fused score is the mean of member scores.  No model-count rescaling
-    is applied.
+    fused score is the mean of member scores; a cluster whose scores sum
+    to 0 keeps its first box.  No model-count rescaling is applied.
     """
     # The sort is stable, so exact ties keep model-list order.
     entries = sorted((pair for boxes in model_outputs for pair in boxes),
                      key=lambda e: _box_sort_key(*e))
 
-    clusters: list[dict] = []
+    # A cluster is [fused box, score-weighted x, y, w and h sums, score
+    # sum, members] in plain floats, so each step is one IEEE operation.
+    clusters: list[list] = []
     for box, score in entries:
-        target = None
         for cluster in clusters:
-            if box_iou(box, cluster["fused"]) >= iou_threshold:
-                target = cluster
+            if box_iou(box, cluster[0]) >= iou_threshold:
                 break
-        if target is None:
-            target = {"coord_num": np.zeros(4), "score_sum": 0.0, "members": 0,
-                      "fused": box}
-            clusters.append(target)
-        target["coord_num"] += score * np.array([box.x, box.y, box.w, box.h])
-        target["score_sum"] += score
-        target["members"] += 1
-        coords = target["coord_num"] / target["score_sum"]
-        target["fused"] = BBox(*(float(v) for v in coords))
+        else:
+            cluster = [box, 0.0, 0.0, 0.0, 0.0, 0.0, 0]
+            clusters.append(cluster)
+        fused, nx, ny, nw, nh, score_sum, members = cluster
+        nx += score * box.x
+        ny += score * box.y
+        nw += score * box.w
+        nh += score * box.h
+        score_sum += score
+        if score_sum != 0:
+            fused = BBox(nx / score_sum, ny / score_sum, nw / score_sum, nh / score_sum)
+        cluster[:] = fused, nx, ny, nw, nh, score_sum, members + 1
 
-    fused = [(c["fused"], float(c["score_sum"] / c["members"])) for c in clusters]
+    fused = [(c[0], c[5] / c[6]) for c in clusters]
     fused.sort(key=lambda e: _box_sort_key(e[0], e[1]))
     return fused
 
@@ -244,63 +256,73 @@ def average_mask_ensemble(prob_masks: Sequence[np.ndarray],
     return out
 
 
-def merge_boxes_iou_ioa(scored_boxes: Sequence[ScoredBox], iou_thr: float,
-                        ioa_thr: float) -> list[ScoredBox]:
-    """Suppress redundant detections: walking down by score, a box is
-    absorbed when it overlaps a kept box at IoU >= iou_thr or lies mostly
-    inside one (IoA >= ioa_thr)."""
+def _run_columns(run: Sequence[Sequence[ScoredBox]]) -> tuple[list[int], np.ndarray]:
+    """Each image's box count and all the run's boxes as columns."""
+    return list(map(len, run)), box_columns(box for boxes in run for box, _ in boxes)
+
+
+def merge_boxes_iou_ioa(run: Sequence[Sequence[ScoredBox]], iou_thr: float,
+                        ioa_thr: float) -> list[list[ScoredBox]]:
+    """Suppress redundant detections on each image of a run: walking down
+    by score, a box is absorbed when it overlaps a kept box at IoU >=
+    iou_thr or lies mostly inside one (IoA >= ioa_thr).
+
+    Every same-image pair is measured in one columnar pass: ``rows[j][i]``
+    tells whether box j, once kept, absorbs box i."""
     if not (0.0 < iou_thr <= 1.0 and 0.0 < ioa_thr <= 1.0):
         raise ValueError("thresholds must lie in (0, 1]")
-    order = sorted(range(len(scored_boxes)), key=lambda i: (-scored_boxes[i][1], i))
-    kept: list[int] = []
-    for i in order:
-        box = scored_boxes[i][0]
-        absorbed = any(
-            box_iou(scored_boxes[j][0], box) >= iou_thr
-            or box_ioa(scored_boxes[j][0], box) >= ioa_thr
-            for j in kept
-        )
-        if not absorbed:
-            kept.append(i)
-    return [scored_boxes[i] for i in kept]
+    boxes_of_run = _run_columns(run)
+
+    def absorbs(kept, cand):
+        return (box_iou_columns(kept, cand) >= iou_thr) | (box_ioa_columns(kept, cand) >= ioa_thr)
+
+    out = []
+    for boxes, rows in zip(run, box_pair_rows(*boxes_of_run, *boxes_of_run, absorbs)):
+        kept: list[int] = []
+        for i in sorted(range(len(boxes)), key=lambda i: (-boxes[i][1], i)):
+            if not any(rows[j][i] for j in kept):
+                kept.append(i)
+        out.append([boxes[i] for i in kept])
+    return out
 
 
-def cross_model_merge(dets_a: Sequence[ScoredBox], dets_b: Sequence[ScoredBox],
-                      iou_thr: float, keep_conf: float) -> list[ScoredBox]:
-    """Ensemble two detectors: greedily match boxes one-to-one by best
-    IoU at or above the threshold; matched pairs are replaced by the
-    coordinate-wise mean box with the mean score, unmatched boxes survive
-    only at or above keep_conf."""
+def cross_model_merge(run_a: Sequence[Sequence[ScoredBox]],
+                      run_b: Sequence[Sequence[ScoredBox]],
+                      iou_thr: float, keep_conf: float) -> list[list[ScoredBox]]:
+    """Ensemble two detectors on each image of a run: greedily match boxes
+    one-to-one by best IoU at or above the threshold (ties to the lowest
+    indices); matched pairs are replaced by the coordinate-wise mean box
+    with the mean score, unmatched boxes survive only at or above
+    keep_conf.  Every same-image IoU comes from one columnar pass."""
     if not (0.0 < iou_thr <= 1.0):
         raise ValueError("iou_thr must lie in (0, 1]")
-    candidates = []
-    for i, (ba, _) in enumerate(dets_a):
-        for j, (bb, _) in enumerate(dets_b):
-            iou = box_iou(ba, bb)
-            if iou >= iou_thr:
-                candidates.append((iou, i, j))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    merged: list[ScoredBox] = []
-    for _, i, j in candidates:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        ba, sa = dets_a[i]
-        bb, sb = dets_b[j]
-        box = BBox((ba.x + bb.x) / 2, (ba.y + bb.y) / 2,
-                   (ba.w + bb.w) / 2, (ba.h + bb.h) / 2)
-        merged.append((box, (sa + sb) / 2))
-    for i, (box, score) in enumerate(dets_a):
-        if i not in used_a and score >= keep_conf:
-            merged.append((box, score))
-    for j, (box, score) in enumerate(dets_b):
-        if j not in used_b and score >= keep_conf:
-            merged.append((box, score))
-    merged.sort(key=lambda e: _box_sort_key(e[0], e[1]))
-    return merged
+    iou_rows = box_pair_rows(*_run_columns(run_a), *_run_columns(run_b), box_iou_columns)
+    out = []
+    for dets_a, dets_b, rows in zip(run_a, run_b, iou_rows):
+        candidates = sorted((-iou, i, j) for i, row in enumerate(rows)
+                            for j, iou in enumerate(row) if iou >= iou_thr)
+        used_a: set[int] = set()
+        used_b: set[int] = set()
+        merged: list[ScoredBox] = []
+        for _, i, j in candidates:
+            if i in used_a or j in used_b:
+                continue
+            used_a.add(i)
+            used_b.add(j)
+            ba, sa = dets_a[i]
+            bb, sb = dets_b[j]
+            box = BBox((ba.x + bb.x) / 2, (ba.y + bb.y) / 2,
+                       (ba.w + bb.w) / 2, (ba.h + bb.h) / 2)
+            merged.append((box, (sa + sb) / 2))
+        for i, (box, score) in enumerate(dets_a):
+            if i not in used_a and score >= keep_conf:
+                merged.append((box, score))
+        for j, (box, score) in enumerate(dets_b):
+            if j not in used_b and score >= keep_conf:
+                merged.append((box, score))
+        merged.sort(key=lambda e: _box_sort_key(e[0], e[1]))
+        out.append(merged)
+    return out
 
 
 def detection_guided_filter(segs: Sequence[ScoredPoly], dets: Sequence[ScoredBox],
@@ -409,16 +431,39 @@ def _to_frame(payload: PolygonSet | BBox, x0: int, y0: int) -> PolygonSet | BBox
                             for ring in payload.rings))
 
 
-# Each pipeline maps one image's inputs, per model, to its fused
-# ``(payload, score)`` pairs: ``dets`` and ``segs`` hold the image's
-# instances of each detection and each segmentation input.
+# Each pipeline takes a whole run: ``dets[k][i]`` holds detection input
+# k's instances on ``images[i]``, ``segs`` likewise, and it gives each
+# image's fused ``(payload, score)`` pairs in image order.  kmg batches
+# its box merging across the run; the other pipelines run one image at
+# a time.
 
+def _by_image(models, n: int) -> list[tuple]:
+    """``models[k][i]`` regrouped by image: entry i holds every model's
+    instances on image i."""
+    return list(zip(*models)) if models else [()] * n
+
+
+def _each_image(per_image):
+    """The run-level pipeline that calls ``per_image(image, dets, segs,
+    task, params)`` on each image with every model's instances on it.
+    Images are fused as the caller reads them, so no image's
+    intermediate results outlive it."""
+    def pipeline(images, dets, segs, task, params):
+        n = len(images)
+        return (per_image(image, image_dets, image_segs, task, params)
+                for image, image_dets, image_segs
+                in zip(images, _by_image(dets, n), _by_image(segs, n)))
+    return pipeline
+
+
+@_each_image
 def _identity(image, dets, segs, task, params):
     if task == DETECTION:
         return [pair for insts in dets for pair in _boxes_of(insts)]
     return [pair for insts in segs for pair in _polys_of(insts)]
 
 
+@_each_image
 def _uno(image, dets, segs, task, params):
     maps = _semantic_maps(segs, image.width, image.height)
     if maps is None:
@@ -430,6 +475,7 @@ def _uno(image, dets, segs, task, params):
     return [(_to_frame(payload, x0, y0), score) for payload, score in fused]
 
 
+@_each_image
 def _sigmoid(image, dets, segs, task, params):
     refined: list[ScoredPoly] = []
     for insts in segs:
@@ -445,18 +491,20 @@ def _sigmoid(image, dets, segs, task, params):
     return confidence_filter(weighted_box_fusion(branches, params.wbf_iou), params.det_conf)
 
 
-def _kmg(image, dets, segs, task, params):
-    merged = [merge_boxes_iou_ioa(_boxes_of(insts), params.merge_iou, params.merge_ioa)
-              for insts in dets]
+def _kmg(images, dets, segs, task, params):
+    merged = [merge_boxes_iou_ioa([_boxes_of(insts) for insts in model],
+                                  params.merge_iou, params.merge_ioa) for model in dets]
     final = merged[0]
     for other in merged[1:]:
         final = cross_model_merge(final, other, params.cross_iou, params.keep_conf)
     if task == DETECTION:
         return final
-    seg_pairs = [pair for insts in segs for pair in _polys_of(insts)]
-    return detection_guided_filter(seg_pairs, final, params.guide_iou)
+    return [detection_guided_filter([pair for insts in models for pair in _polys_of(insts)],
+                                    boxes, params.guide_iou)
+            for boxes, models in zip(final, _by_image(segs, len(images)))]
 
 
+@_each_image
 def _ntr(image, dets, segs, task, params):
     if task == DETECTION:
         branches = [_boxes_of(insts) for insts in dets]
@@ -472,6 +520,7 @@ def _ntr(image, dets, segs, task, params):
     return out
 
 
+@_each_image
 def _visionx(image, dets, segs, task, params):
     maps = _semantic_maps(segs, image.width, image.height)
     if maps is None:
@@ -492,7 +541,7 @@ def _visionx(image, dets, segs, task, params):
     return out
 
 
-# name -> (per-image pipeline, input tasks of which at least one must be
+# name -> (run-level pipeline, input tasks of which at least one must be
 # given, preset parameter values over the FusionParams defaults)
 _PRESETS = {
     "identity": (_identity, (), {}),
@@ -523,14 +572,18 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
     pipeline, needs, _ = _preset(preset)
     if needs and not any(s.task in needs for s in inputs):
         raise ValueError(f"preset {preset!r} requires {' or '.join(needs)} inputs")
+    if task == SEGMENTATION and not any(s.task == SEGMENTATION for s in inputs):
+        raise ValueError(f"preset {preset!r} needs segmentation inputs "
+                         "for a segmentation output")
     if params is None:
         params = preset_params(preset)
-    det_sets = [s for s in inputs if s.task == DETECTION]
-    seg_sets = [s for s in inputs if s.task == SEGMENTATION]
+    images = dataset.images
+    dets = [[s.instances_for(image.id) for image in images]
+            for s in inputs if s.task == DETECTION]
+    segs = [[s.instances_for(image.id) for image in images]
+            for s in inputs if s.task == SEGMENTATION]
     instances: list[PredictionInstance] = []
-    for image in dataset.images:
-        pairs = pipeline(image, [s.instances_for(image.id) for s in det_sets],
-                         [s.instances_for(image.id) for s in seg_sets], task, params)
+    for image, pairs in zip(images, pipeline(images, dets, segs, task, params)):
         for payload, score in pairs:
             instances.append(PredictionInstance(
                 image_id=image.id,

@@ -13,8 +13,6 @@ Conventions used throughout:
   rule; a center exactly on a boundary crossing counts edges strictly to
   its left.  This rule is the single source of truth for every
   polygon-based overlap measure in the package.
-
-All functions are pure and safe to call from parallel workers.
 """
 
 from __future__ import annotations
@@ -408,6 +406,46 @@ def box_ioa(a: BBox, b: BBox) -> float:
     if b.area <= 0:
         return 0.0
     return (iw * ih) / b.area
+
+
+def box_ioa_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`box_ioa` of two ``(M, 4)`` float64 arrays of
+    ``[x, y, w, h]`` rows, equal to it bit for bit."""
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    area = bw * bh
+    keep = (iw > 0) & (ih > 0) & (area > 0)
+    return np.divide(iw * ih, area, out=np.zeros_like(area), where=keep)
+
+
+def box_columns(boxes: Iterable[BBox]) -> np.ndarray:
+    """Boxes as the ``(M, 4)`` float64 rows the column measures take."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def box_pair_rows(sizes_a: Sequence[int], boxes_a: np.ndarray,
+                  sizes_b: Sequence[int], boxes_b: np.ndarray, measure) -> Iterator[list[list]]:
+    """``measure`` of every same-group pair of boxes, from one columnar
+    pass.  Group k holds the next ``sizes_a[k]`` rows of the
+    :func:`box_columns` array ``boxes_a`` and the next ``sizes_b[k]`` of
+    ``boxes_b``; its item is ``rows[i][j] = measure(a_i, b_j)`` for a
+    column measure such as :func:`box_iou_columns`."""
+    n_a = np.array(sizes_a, dtype=np.int64)
+    n_b = np.array(sizes_b, dtype=np.int64)
+    n_pair = n_a * n_b
+    pair_start = np.cumsum(n_pair) - n_pair
+    # Pair p of group k is (row r, col c) with p - pair_start[k] = r * n_b[k] + c.
+    local = np.arange(int(n_pair.sum())) - np.repeat(pair_start, n_pair)
+    width = np.repeat(n_b, n_pair)
+    rows = np.repeat(np.cumsum(n_a) - n_a, n_pair) + local // width
+    cols = np.repeat(np.cumsum(n_b) - n_b, n_pair) + local % width
+    flat = measure(boxes_a[rows], boxes_b[cols]).tolist()
+    # Each group's rows are built as they are read, so a run's rows are
+    # never all alive at once.
+    for start, n, w in zip(pair_start.tolist(), n_a.tolist(), n_b.tolist()):
+        yield [flat[start + i * w:start + (i + 1) * w] for i in range(n)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-import numpy as np
-
 from .coco import (
     DETECTION,
     Dataset,
@@ -29,7 +27,7 @@ from .coco import (
     PredictionSet,
 )
 from .errors import EmptyInputError
-from .geometry import box_iou_columns, mask_iou, rasterize_runs_many
+from .geometry import box_columns, box_iou_columns, box_pair_rows, mask_iou, rasterize_runs_many
 
 # The challenge's definition: the composite score is the mean of F1 and
 # F2 at the headline threshold and over the 0.40:0.95 range.
@@ -37,6 +35,8 @@ BETAS = (1.0, 2.0)
 HEADLINE_THRESHOLD = 0.50
 # 0.40, 0.45, ..., 0.95; the headline threshold is one of them.
 THRESHOLDS = tuple(round(0.40 + 0.05 * i, 2) for i in range(12))
+# The report's key of each threshold, formatted once, not per image.
+_THRESHOLD_KEYS = {tau: f"{tau:.2f}" for tau in THRESHOLDS}
 
 
 @dataclass
@@ -53,32 +53,16 @@ class ConfusionCounts:
     fn: int = 0
 
 
-def _box_columns(boxes) -> np.ndarray:
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def _box_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
                   gt_groups: Sequence[Sequence[GroundTruthInstance]]
                   ) -> list[list[list[float]]]:
-    """Box IoU rows of every (predictions, ground truths) group, from one
-    columnar pass over all same-group pairs.  Group k's rows are its
-    predictions in the given order, its columns its ground truths."""
-    n_pred = np.array([len(ps) for ps in pred_groups], dtype=np.int64)
-    n_gt = np.array([len(gs) for gs in gt_groups], dtype=np.int64)
-    n_pair = n_pred * n_gt
-    pair_start = np.cumsum(n_pair) - n_pair
-    # Pair p of group k is (row r, col c) with p - pair_start[k] = r * n_gt[k] + c.
-    local = np.arange(int(n_pair.sum())) - np.repeat(pair_start, n_pair)
-    width = np.repeat(n_gt, n_pair)
-    rows = np.repeat(np.cumsum(n_pred) - n_pred, n_pair) + local // width
-    cols = np.repeat(np.cumsum(n_gt) - n_gt, n_pair) + local % width
-    preds = _box_columns(p.bbox for ps in pred_groups for p in ps)
-    gts = _box_columns(g.bbox for gs in gt_groups for g in gs)
-    flat = box_iou_columns(preds[rows], gts[cols]).tolist()
-    out = []
-    for start, n, w in zip(pair_start.tolist(), n_pred.tolist(), n_gt.tolist()):
-        out.append([flat[start + i * w:start + (i + 1) * w] for i in range(n)])
-    return out
+    """Box IoU rows of every (predictions, ground truths) group: group k's
+    rows are its predictions in the given order, its columns its ground
+    truths."""
+    return list(box_pair_rows(
+        list(map(len, pred_groups)), box_columns(p.bbox for ps in pred_groups for p in ps),
+        list(map(len, gt_groups)), box_columns(g.bbox for gs in gt_groups for g in gs),
+        box_iou_columns))
 
 
 def _mask_iou_rows(preds: Sequence[PredictionInstance],
@@ -220,7 +204,7 @@ class MetricsReport:
             },
             "per_image": {
                 str(image_id): {
-                    f"{tau:.2f}": list(counts) for tau, counts in sorted(taus.items())
+                    _THRESHOLD_KEYS[tau]: list(counts) for tau, counts in sorted(taus.items())
                 }
                 for image_id, taus in sorted(self.per_image.items())
             },

@@ -5,10 +5,14 @@ favors naive nested loops over clever code.  It implements the same
 documented contracts (pixel-center even-odd rasterization with crossings
 counted strictly left of the center, greedy score-descending matching
 with lowest-id tie-break, micro-aggregated F-beta) by direct per-pixel /
-per-pair computation.
+per-pair computation.  Its last section keeps the library's former
+scalar box fusion (IoU/IoA merging, cross-model merging and numpy WBF)
+as oracles for the run-level, columnar code.
 """
 
 import math
+
+import numpy as np
 
 THRESHOLDS = [round(0.40 + 0.05 * i, 2) for i in range(12)]
 HEADLINE = 0.50
@@ -270,3 +274,110 @@ def simplify_polygon(ring, epsilon_ratio):
     if len(merged) < 3:
         return None
     return tuple(v for p in merged for v in p)
+
+
+# --- box fusion oracles --------------------------------------------------------
+#
+# The scalar per-image box fusion the library ran before it took whole
+# runs and plain floats, kept as it was.  Boxes are ``(x, y, w, h)``
+# tuples and scored boxes ``(box, score)`` pairs.  Every arithmetic step
+# is the library's, in its order, so results must agree bit for bit.
+
+def _capped_box_iou(a, b):
+    """IoU with the library's cap at 1 (``x + w - x`` can round above w)."""
+    iou = box_iou(a, b)
+    return min(iou, 1.0)
+
+
+def box_ioa(a, b):
+    """Intersection over the area of ``b``."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    iw = min(ax + aw, bx + bw) - max(ax, bx)
+    ih = min(ay + ah, by + bh) - max(ay, by)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    if bw * bh <= 0:
+        return 0.0
+    return (iw * ih) / (bw * bh)
+
+
+def _box_sort_key(box, score):
+    return (-score,) + tuple(box)
+
+
+def merge_boxes_iou_ioa(scored_boxes, iou_thr, ioa_thr):
+    """Walking down by score (ties by input index), drop a box that a kept
+    box overlaps at IoU >= iou_thr or contains at IoA >= ioa_thr."""
+    order = sorted(range(len(scored_boxes)), key=lambda i: (-scored_boxes[i][1], i))
+    kept = []
+    for i in order:
+        box = scored_boxes[i][0]
+        absorbed = any(
+            _capped_box_iou(scored_boxes[j][0], box) >= iou_thr
+            or box_ioa(scored_boxes[j][0], box) >= ioa_thr
+            for j in kept
+        )
+        if not absorbed:
+            kept.append(i)
+    return [scored_boxes[i] for i in kept]
+
+
+def cross_model_merge(dets_a, dets_b, iou_thr, keep_conf):
+    """Greedy one-to-one match by IoU (ties to the lowest indices); matched
+    pairs become their mean box and mean score, unmatched boxes stay at
+    or above keep_conf."""
+    candidates = []
+    for i, (ba, _) in enumerate(dets_a):
+        for j, (bb, _) in enumerate(dets_b):
+            iou = _capped_box_iou(ba, bb)
+            if iou >= iou_thr:
+                candidates.append((iou, i, j))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    used_a, used_b = set(), set()
+    merged = []
+    for _, i, j in candidates:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        (ax, ay, aw, ah), sa = dets_a[i]
+        (bx, by, bw, bh), sb = dets_b[j]
+        merged.append((((ax + bx) / 2, (ay + by) / 2, (aw + bw) / 2, (ah + bh) / 2),
+                       (sa + sb) / 2))
+    for i, (box, score) in enumerate(dets_a):
+        if i not in used_a and score >= keep_conf:
+            merged.append((box, score))
+    for j, (box, score) in enumerate(dets_b):
+        if j not in used_b and score >= keep_conf:
+            merged.append((box, score))
+    merged.sort(key=lambda e: _box_sort_key(*e))
+    return merged
+
+
+def weighted_box_fusion(model_outputs, iou_threshold):
+    """Weighted box fusion with numpy accumulators.  One change from the
+    numpy code the library ran: a cluster whose scores sum to 0 keeps its
+    first box, where that code divided by 0 and wrote NaN coordinates."""
+    entries = sorted((pair for boxes in model_outputs for pair in boxes),
+                     key=lambda e: _box_sort_key(*e))
+    clusters = []
+    for box, score in entries:
+        target = None
+        for cluster in clusters:
+            if _capped_box_iou(box, cluster["fused"]) >= iou_threshold:
+                target = cluster
+                break
+        if target is None:
+            target = {"coord_num": np.zeros(4), "score_sum": 0.0, "members": 0,
+                      "fused": box}
+            clusters.append(target)
+        target["coord_num"] += score * np.array(box)
+        target["score_sum"] += score
+        target["members"] += 1
+        if target["score_sum"] != 0:
+            coords = target["coord_num"] / target["score_sum"]
+            target["fused"] = tuple(float(v) for v in coords)
+    fused = [(c["fused"], float(c["score_sum"] / c["members"])) for c in clusters]
+    fused.sort(key=lambda e: _box_sort_key(*e))
+    return fused

@@ -321,7 +321,11 @@ class TestFuse:
         code = run(["fuse", gt, seg, det, "--preset", preset, "--task", task,
                     "--out", out])
         assert code == 0
-        assert run(["validate", gt, out, "--task", task]) == 0
+        report = root / f"validate_{preset}_{task}.json"
+        assert run(["validate", gt, out, "--task", task, "--out", report]) == 0
+        counts = json.loads(report.read_text())["counts"]
+        assert counts["instances_dropped"] == 0
+        assert counts["instances_seen"] == len(json.loads(out.read_text()))
 
     def test_preset_config_file(self, workspace):
         root, gt, det, seg = workspace
@@ -386,6 +390,15 @@ class TestFuse:
                     "--task", "seg", "--out", root / "x.json"]) == 3
         assert (f"configuration error: preset {preset!r} requires {needs} inputs"
                 in capsys.readouterr().err)
+        assert not (root / "x.json").exists()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_segmentation_output_without_segmentation_input_exit_3(self, workspace, capsys,
+                                                                    preset):
+        root, gt, det, _ = workspace
+        assert run(["fuse", gt, det, "--preset", preset, "--task", "seg",
+                    "--out", root / "x.json"]) == 3
+        assert "configuration error" in capsys.readouterr().err
         assert not (root / "x.json").exists()
 
     def test_zero_ensemble_threshold_exit_3(self, workspace, capsys):

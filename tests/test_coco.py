@@ -514,6 +514,7 @@ def _json_values():
     return st.recursive(scalars, lambda children: (
         st.lists(children, max_size=5)
         | st.lists(floats | ints, max_size=8)
+        | st.lists(st.sampled_from([0, 1, 2, True, False, 1.0]), max_size=4)
         | st.dictionaries(strings, children, max_size=5)
         | st.dictionaries(st.integers(), children, max_size=3)
         | st.lists(st.dictionaries(strings, children, max_size=3), max_size=3)
@@ -524,6 +525,18 @@ class TestWriteJson:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(_json_values())
     def test_matches_json_dumps(self, obj):
+        assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_repeated_short_int_lists(self):
+        # True == 1 with equal hashes, so a cache keyed on values alone
+        # would write [True, 0] as [1, 0]; one keyed without the indent
+        # would give a nested triple the indentation of a shallower one.
+        triple = [3, 0, 1]
+        obj = {"a": [1, 0], "b": [True, 0], "c": [1, 0], "d": (1, 0), "e": [1.0, 0],
+               "f": [False, 0], "g": [0, 0], "t": triple,
+               "per_image": {str(k): {"0.40": triple, "0.45": [1, 2, 0], "nest": [triple, [triple]]}
+                             for k in range(3)},
+               "rows": [[1, 0], [True, 0], [1, 0], [[1, 0]], [1, 0, 0, 0, 0]]}
         assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
     def test_file_bytes(self, tmp_path):

@@ -54,6 +54,7 @@ from conftest import (
     traced_peak_bytes,
     write_json_file,
 )
+import reference_impl as ref
 
 P = FusionParams()
 
@@ -300,21 +301,21 @@ class TestMergeBoxesIouIoa:
         big = (BBox(0, 0, 40, 40), 0.9)
         small = (BBox(10, 10, 5, 5), 0.8)  # IoU tiny, IoA(kept, cand) = 1.0
         assert box_iou(big[0], small[0]) < 0.1
-        out = merge_boxes_iou_ioa([big, small], 0.5, 0.9)
-        assert out == [big]
+        out = merge_boxes_iou_ioa([[big, small]], 0.5, 0.9)
+        assert out == [[big]]
 
     def test_disjoint_all_kept(self):
         boxes = [(BBox(0, 0, 5, 5), 0.9), (BBox(20, 20, 5, 5), 0.8)]
-        assert merge_boxes_iou_ioa(boxes, 0.5, 0.9) == boxes
+        assert merge_boxes_iou_ioa([boxes], 0.5, 0.9) == [boxes]
 
     def test_duplicates_collapse(self):
         boxes = [(BBox(0, 0, 5, 5), 0.9), (BBox(0, 0, 5, 5), 0.7)]
-        assert merge_boxes_iou_ioa(boxes, 0.5, 0.9) == [boxes[0]]
+        assert merge_boxes_iou_ioa([boxes], 0.5, 0.9) == [[boxes[0]]]
 
     @pytest.mark.parametrize("iou_thr,ioa_thr", [(0.0, 0.8), (0.5, 0.0), (1.5, 0.8), (0.5, 1.1)])
     def test_thresholds_outside_half_open_interval_rejected(self, iou_thr, ioa_thr):
         with pytest.raises(ValueError, match="thresholds"):
-            merge_boxes_iou_ioa([(BBox(0, 0, 5, 5), 0.9)], iou_thr, ioa_thr)
+            merge_boxes_iou_ioa([[(BBox(0, 0, 5, 5), 0.9)]], iou_thr, ioa_thr)
 
     def test_every_dropped_box_overlapped_a_kept_one(self):
         from detsegeval.geometry import box_ioa
@@ -322,7 +323,7 @@ class TestMergeBoxesIouIoa:
         boxes = [(BBox(rng.uniform(0, 40), rng.uniform(0, 40),
                        rng.uniform(4, 25), rng.uniform(4, 25)),
                   round(rng.random(), 3)) for _ in range(40)]
-        kept = merge_boxes_iou_ioa(boxes, 0.5, 0.8)
+        [kept] = merge_boxes_iou_ioa([boxes], 0.5, 0.8)
         assert len(kept) <= len(boxes)
         kept_set = set(id(b) for b, _ in kept)
         for box, _ in boxes:
@@ -335,26 +336,24 @@ class TestMergeBoxesIouIoa:
 class TestCrossModelMerge:
     def test_identical_lists_self_merge(self):
         boxes = [(BBox(0, 0, 10, 10), 0.9), (BBox(30, 30, 8, 8), 0.6)]
-        out = cross_model_merge(boxes, boxes, 0.5, 0.3)
+        [out] = cross_model_merge([boxes], [boxes], 0.5, 0.3)
         assert sorted(out, key=lambda e: -e[1]) == boxes
 
     def test_matched_pair_averaged(self):
         a = [(BBox(0, 0, 10, 10), 0.6)]
         b = [(BBox(2, 0, 10, 10), 0.8)]
-        out = cross_model_merge(a, b, 0.5, 0.3)
+        [out] = cross_model_merge([a], [b], 0.5, 0.3)
         assert len(out) == 1
         assert out[0][0] == BBox(1, 0, 10, 10)
         assert out[0][1] == pytest.approx(0.7)
 
     def test_low_confidence_unmatched_dropped(self):
         a = [(BBox(0, 0, 10, 10), 0.1)]
-        out = cross_model_merge(a, [], 0.5, keep_conf=0.3)
-        assert out == []
+        assert cross_model_merge([a], [[]], 0.5, keep_conf=0.3) == [[]]
 
     def test_high_confidence_unmatched_kept(self):
         a = [(BBox(0, 0, 10, 10), 0.7)]
-        out = cross_model_merge(a, [], 0.5, keep_conf=0.3)
-        assert out == a
+        assert cross_model_merge([a], [[]], 0.5, keep_conf=0.3) == [a]
 
     @pytest.mark.parametrize("score_b2,kept", [(0.6, True), (0.4, False)])
     def test_matching_is_one_to_one(self, score_b2, kept):
@@ -363,7 +362,7 @@ class TestCrossModelMerge:
         # then unmatched, so it survives only at or above keep_conf.
         a = [(BBox(0, 0, 10, 10), 0.9)]
         b = [(BBox(1, 0, 10, 10), 0.7), (BBox(2, 0, 10, 10), score_b2)]
-        out = cross_model_merge(a, b, 0.5, keep_conf=0.5)
+        [out] = cross_model_merge([a], [b], 0.5, keep_conf=0.5)
         assert out[0][0] == BBox(0.5, 0, 10, 10)
         assert out[0][1] == pytest.approx(0.8)
         assert out[1:] == ([b[1]] if kept else [])
@@ -371,7 +370,93 @@ class TestCrossModelMerge:
     @pytest.mark.parametrize("iou_thr", [0.0, -0.5, 1.5])
     def test_threshold_outside_half_open_interval_rejected(self, iou_thr):
         with pytest.raises(ValueError, match="iou_thr"):
-            cross_model_merge([(BBox(0, 0, 5, 5), 0.9)], [], iou_thr, 0.5)
+            cross_model_merge([[(BBox(0, 0, 5, 5), 0.9)]], [[]], iou_thr, 0.5)
+
+
+# Small integer boxes make IoU and IoA land exactly on the thresholds
+# below (1/3, 1/2, 4/5, 1) and repeat boxes; real-valued and tiny sides
+# exercise rounding and areas that underflow to 0.
+_coord = st.integers(0, 6) | st.floats(0, 20)
+_side = st.integers(1, 4) | st.floats(0.25, 10) | st.just(1e-200)
+_score = st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]) | st.floats(0, 1)
+_threshold = st.sampled_from([1 / 3, 0.5, 0.8, 1.0]) | st.floats(0.01, 1)
+_scored_box = st.tuples(st.tuples(_coord, _coord, _side, _side), _score)
+_image = st.lists(_scored_box, max_size=6)
+_oracle_settings = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def _lib(image):
+    return [(BBox(*box), score) for box, score in image]
+
+
+def _plain(image):
+    """repr of a library result in the oracles' tuple form: equal text
+    means equal floats with equal signs."""
+    return repr([((b.x, b.y, b.w, b.h), s) for b, s in image])
+
+
+# Named runs: IoU exactly 1/2 with IoA 2/3, IoA exactly 4/5 with IoU
+# below 0.1, IoU exactly 4/5, tied scores, an empty image and a model
+# with no boxes.  The second model's boxes meet the first's at IoU
+# exactly 1/2, 4/5 and 1, with tied IoUs and scores.
+_AT_THRESHOLD = [
+    [((0, 0, 3, 1), 0.9), ((1, 0, 3, 1), 0.8)],
+    [((0, 0, 10, 10), 0.7), ((2, 0, 10, 1), 0.7)],
+    [((0, 0, 5, 1), 0.5), ((1, 0, 4, 1), 0.5), ((0, 0, 5, 1), 0.5)],
+    [],
+    [((0, 0, 5, 1), 0.4)],
+]
+_AT_THRESHOLD_B = [
+    [((1, 0, 3, 1), 0.4)],
+    [((2, 0, 10, 10), 0.4), ((0, 0, 10, 10), 0.7)],
+    [((1, 0, 4, 1), 0.5), ((0, 0, 4, 1), 0.5)],
+    [((0, 0, 5, 1), 0.9)],
+    [],
+]
+
+
+class TestBoxFusionOracles:
+    """Run-level, columnar and plain-float box fusion against the scalar
+    per-image code in ``reference_impl``."""
+
+    @_oracle_settings
+    @given(st.lists(_image, max_size=4), _threshold, _threshold)
+    def test_merge_equals_scalar_oracle(self, run, iou_thr, ioa_thr):
+        got = merge_boxes_iou_ioa([_lib(image) for image in run], iou_thr, ioa_thr)
+        assert list(map(_plain, got)) == \
+            [repr(ref.merge_boxes_iou_ioa(image, iou_thr, ioa_thr)) for image in run]
+
+    @_oracle_settings
+    @given(st.lists(st.tuples(_image, _image), max_size=4), _threshold,
+           st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_cross_merge_equals_scalar_oracle(self, run, iou_thr, keep_conf):
+        got = cross_model_merge([_lib(a) for a, _ in run], [_lib(b) for _, b in run],
+                                iou_thr, keep_conf)
+        assert list(map(_plain, got)) == \
+            [repr(ref.cross_model_merge(a, b, iou_thr, keep_conf)) for a, b in run]
+
+    @_oracle_settings
+    @given(st.lists(_image, max_size=3), st.sampled_from([0.0, 0.45, 0.5, 1.0]) | _threshold)
+    def test_wbf_equals_numpy_oracle(self, models, iou_thr):
+        got = weighted_box_fusion([_lib(image) for image in models], iou_thr)
+        assert _plain(got) == repr(ref.weighted_box_fusion(models, iou_thr))
+
+    @pytest.mark.parametrize("thr", [0.5, 0.8])
+    def test_named_runs_at_threshold(self, thr):
+        run = [_lib(image) for image in _AT_THRESHOLD]
+        assert list(map(_plain, merge_boxes_iou_ioa(run, thr, thr))) == \
+            [repr(ref.merge_boxes_iou_ioa(image, thr, thr)) for image in _AT_THRESHOLD]
+        run_b = [_lib(image) for image in _AT_THRESHOLD_B]
+        assert list(map(_plain, cross_model_merge(run, run_b, thr, 0.6))) == \
+            [repr(ref.cross_model_merge(a, b, thr, 0.6))
+             for a, b in zip(_AT_THRESHOLD, _AT_THRESHOLD_B)]
+        for image in _AT_THRESHOLD:
+            assert _plain(weighted_box_fusion([_lib(image), []], thr)) == \
+                repr(ref.weighted_box_fusion([image, []], thr))
+
+    def test_zero_score_cluster_keeps_its_first_box(self):
+        a, b = BBox(0, 0, 4, 4), BBox(1, 0, 4, 4)
+        assert weighted_box_fusion([[(a, 0.0)], [(b, 0.0)]], 0.5) == [(a, 0.0)]
 
 
 class TestDetectionGuidedFilter:

@@ -23,7 +23,9 @@ from detsegeval.geometry import (
     BBox,
     PolygonSet,
     RunMask,
+    box_columns,
     box_ioa,
+    box_ioa_columns,
     box_iou,
     box_iou_columns,
     connected_components,
@@ -387,6 +389,22 @@ class TestBoxOverlap:
                                np.array([b.as_list() for _, b in pairs]))
         # Bit for bit: equal floats with equal signs.
         assert [v.hex() for v in cols.tolist()] == [v.hex() for v in ious]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(_box(), _box()), min_size=1, max_size=8))
+    def test_ioa_columns_equal_box_ioa_bit_for_bit(self, pairs):
+        cols = box_ioa_columns(box_columns(a for a, _ in pairs), box_columns(b for _, b in pairs))
+        assert [v.hex() for v in cols.tolist()] == [box_ioa(a, b).hex() for a, b in pairs]
+
+    @pytest.mark.parametrize("b", [
+        BBox(0, 0, 1e-200, 1e-200),       # the area underflows to 0
+        BBox(0, 0, 1e-160, 1e-160),       # a subnormal intersection and area
+        BBox(0, 0.5, 5e-324, 4.0),        # the intersection underflows to 0
+    ])
+    def test_ioa_columns_on_vanishing_areas(self, b):
+        a = BBox(0, 0, 1, 1)
+        col = box_ioa_columns(box_columns([a]), box_columns([b])).tolist()
+        assert [v.hex() for v in col] == [box_ioa(a, b).hex()]
 
     def test_rounded_extent_is_capped(self):
         # 0.1 + 0.2 - 0.1 rounds above 0.2, so the raw ratio exceeds 1.
