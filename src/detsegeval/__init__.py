@@ -21,7 +21,6 @@ from .geometry import (  # noqa: F401
     Component,
     PolygonSet,
     RunMask,
-    box_ioa,
     box_iou,
     connected_components,
     mask_iou,

@@ -46,10 +46,6 @@ _TASKS = {"det": DETECTION, "detection": DETECTION,
           "seg": SEGMENTATION, "segmentation": SEGMENTATION}
 
 
-def _task_of(value: str) -> str:
-    return _TASKS[value]
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -89,7 +85,7 @@ def _parse_set_values(pairs: list[str]) -> dict:
 
 def cmd_validate(args) -> int:
     dataset = load_ground_truth(args.ground_truth)
-    _, report = parse_predictions(args.predictions, dataset, _task_of(args.task))
+    _, report = parse_predictions(args.predictions, dataset, _TASKS[args.task])
     payload = report.to_dict()
     payload["mode"] = "lenient" if args.lenient else "strict"
     if args.out:
@@ -103,7 +99,7 @@ def cmd_validate(args) -> int:
 
 def cmd_score(args) -> int:
     dataset = load_ground_truth(args.ground_truth)
-    task = _task_of(args.task)
+    task = _TASKS[args.task]
     preds = load_predictions(args.predictions, dataset, task, lenient=args.lenient)
     report = evaluate(dataset, preds)
 
@@ -151,7 +147,7 @@ def _resolve_preset(args) -> tuple[str, object]:
 def cmd_fuse(args) -> int:
     preset, params = _resolve_preset(args)
     dataset = load_ground_truth(args.ground_truth)
-    task = _task_of(args.task)
+    task = _TASKS[args.task]
     inputs = []
     for path in args.inputs:
         items = read_predictions(path)
@@ -181,7 +177,7 @@ def _payload_task(items: list, fallback: str) -> str:
 
 def cmd_leaderboard(args) -> int:
     dataset = load_ground_truth(args.ground_truth)
-    task = _task_of(args.task)
+    task = _TASKS[args.task]
     submissions = sorted(Path(args.submissions).glob("*.json"))
     if not submissions:
         print(f"no submissions found in {args.submissions}", file=sys.stderr)

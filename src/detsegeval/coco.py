@@ -120,7 +120,9 @@ class ValidationReport:
 
 
 class Dataset:
-    """Immutable ground-truth container: image registry + instances."""
+    """Immutable ground-truth container: image registry + instances.
+    Each image's instances are kept in ascending id order, the order in
+    which matching breaks IoU ties."""
 
     def __init__(self, images: Iterable[ImageRecord],
                  instances: Iterable[GroundTruthInstance],
@@ -131,7 +133,7 @@ class Dataset:
         self.category_name = category_name
         self.images_by_id: dict[int, ImageRecord] = {im.id: im for im in self.images}
         by_image: dict[int, list[GroundTruthInstance]] = {}
-        for inst in self.instances:
+        for inst in sorted(self.instances, key=attrgetter("id")):
             by_image.setdefault(inst.image_id, []).append(inst)
         self._by_image = by_image
 

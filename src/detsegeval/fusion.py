@@ -235,6 +235,15 @@ def refine_segmentation(poly: PolygonSet, width: int, height: int,
     return PolygonSet((ring,))
 
 
+def _scored_regions(binary: np.ndarray, values: np.ndarray, min_area: int):
+    """Each 8-connected component of ``binary`` with at least ``min_area``
+    pixels, in :func:`connected_components` order, with the mean of
+    ``values`` over its pixels."""
+    for comp in connected_components(binary):
+        if comp.area >= min_area:
+            yield comp, float(values[comp.window][comp.mask].mean())
+
+
 def average_mask_ensemble(prob_masks: Sequence[np.ndarray],
                           params: FusionParams) -> list[ScoredPoly]:
     """Pixel-wise average an ensemble of probability masks, binarize at
@@ -247,13 +256,8 @@ def average_mask_ensemble(prob_masks: Sequence[np.ndarray],
     _check_same_shape(prob_masks)
     mean = np.mean(np.stack([np.asarray(m, dtype=np.float64) for m in prob_masks]), axis=0)
     binary = mean >= params.ensemble_threshold
-    out: list[ScoredPoly] = []
-    for comp in connected_components(binary):
-        if comp.area < params.ensemble_min_area:
-            continue
-        score = float(mean[comp.window][comp.mask].mean())
-        out.append((PolygonSet((comp.outer_ring(),)), score))
-    return out
+    return [(PolygonSet((comp.outer_ring(),)), score)
+            for comp, score in _scored_regions(binary, mean, params.ensemble_min_area)]
 
 
 def _run_columns(run: Sequence[Sequence[ScoredBox]]) -> tuple[list[int], np.ndarray]:
@@ -532,17 +536,15 @@ def _visionx(image, dets, segs, task, params):
     # cannot hold.  A closing would not be.
     binary = morphology(merged_map >= 0.5, "open", params.refine_kernel, 1)
     out = []
-    for comp in connected_components(binary):
-        if comp.area < params.min_region_area:
-            continue
-        score = float(merged_map[comp.window][comp.mask].mean())
+    for comp, score in _scored_regions(binary, merged_map, params.min_region_area):
         payload = PolygonSet((comp.outer_ring(),)) if task == SEGMENTATION else comp.bbox
         out.append((_to_frame(payload, x0, y0), score))
     return out
 
 
 # name -> (run-level pipeline, input tasks of which at least one must be
-# given, preset parameter values over the FusionParams defaults)
+# given, where none means the output task, preset parameter values over
+# the FusionParams defaults)
 _PRESETS = {
     "identity": (_identity, (), {}),
     "uno": (_uno, (SEGMENTATION,), {}),
@@ -555,7 +557,7 @@ PRESETS = tuple(_PRESETS)
 
 
 def _preset(name: str) -> tuple:
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise UnknownPresetError(f"unknown preset {name!r}; choose from {PRESETS}")
     return _PRESETS[name]
 
@@ -570,7 +572,8 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
     """Run a named pipeline over loaded prediction sets and return a fused
     prediction set for the requested task."""
     pipeline, needs, _ = _preset(preset)
-    if needs and not any(s.task in needs for s in inputs):
+    needs = needs or (task,)
+    if not any(s.task in needs for s in inputs):
         raise ValueError(f"preset {preset!r} requires {' or '.join(needs)} inputs")
     if task == SEGMENTATION and not any(s.task == SEGMENTATION for s in inputs):
         raise ValueError(f"preset {preset!r} needs segmentation inputs "

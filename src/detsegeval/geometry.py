@@ -148,16 +148,6 @@ class RunMask:
     def area(self) -> int:
         return int((self.ends - self.starts).sum())
 
-    @classmethod
-    def from_array(cls, mask: np.ndarray) -> "RunMask":
-        height, width = mask.shape
-        padded = np.zeros((height, width + 2), dtype=np.int8)
-        padded[:, 1:-1] = np.asarray(mask, dtype=bool)
-        steps = np.diff(padded, axis=1)
-        rows, starts = np.nonzero(steps == 1)
-        ends = np.nonzero(steps == -1)[1]
-        return cls(width, height, rows, starts, ends)
-
     def to_array(self) -> np.ndarray:
         return paint_runs([self], self.height, self.width)
 
@@ -356,12 +346,11 @@ def _run_intersection(a: RunMask, b: RunMask) -> int:
     return int(np.diff(cols)[cover[:-1] == 2].sum())
 
 
-def mask_iou(a: np.ndarray | RunMask, b: np.ndarray | RunMask) -> float:
-    """Pixel-count IoU of two equally shaped masks, each a boolean array or
-    a :class:`RunMask`; 0.0 when both are empty."""
+def mask_iou(a: RunMask, b: RunMask) -> float:
+    """Pixel-count IoU of two equally shaped run masks; 0.0 when both are
+    empty."""
     if a.shape != b.shape:
         raise DimensionMismatchError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    a, b = (m if isinstance(m, RunMask) else RunMask.from_array(m) for m in (a, b))
     inter = _run_intersection(a, b)
     union = a.area + b.area - inter
     if union == 0:
@@ -397,20 +386,12 @@ def box_iou_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(np.divide(inter, union, out=np.zeros_like(inter), where=keep), 1.0)
 
 
-def box_ioa(a: BBox, b: BBox) -> float:
-    """Intersection over the area of ``b`` (containment of b inside a)."""
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    if b.area <= 0:
-        return 0.0
-    return (iw * ih) / b.area
-
-
 def box_ioa_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`box_ioa` of two ``(M, 4)`` float64 arrays of
-    ``[x, y, w, h]`` rows, equal to it bit for bit."""
+    """Row-wise intersection over the area of ``b``, the share of box b
+    inside box a, ``(iw * ih) / (bw * bh)``, of two ``(M, 4)`` float64
+    arrays of ``[x, y, w, h]`` rows.  A pair is 0 unless the
+    intersection's sides ``iw`` and ``ih`` and the area ``bw * bh`` are
+    all positive."""
     ax, ay, aw, ah = a.T
     bx, by, bw, bh = b.T
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)

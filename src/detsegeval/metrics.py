@@ -16,7 +16,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coco import (
     DETECTION,
@@ -53,18 +53,6 @@ class ConfusionCounts:
     fn: int = 0
 
 
-def _box_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
-                  gt_groups: Sequence[Sequence[GroundTruthInstance]]
-                  ) -> list[list[list[float]]]:
-    """Box IoU rows of every (predictions, ground truths) group: group k's
-    rows are its predictions in the given order, its columns its ground
-    truths."""
-    return list(box_pair_rows(
-        list(map(len, pred_groups)), box_columns(p.bbox for ps in pred_groups for p in ps),
-        list(map(len, gt_groups)), box_columns(g.bbox for gs in gt_groups for g in gs),
-        box_iou_columns))
-
-
 def _mask_iou_rows(preds: Sequence[PredictionInstance],
                    gts: Sequence[GroundTruthInstance],
                    image: ImageRecord) -> list[list[float]]:
@@ -72,6 +60,22 @@ def _mask_iou_rows(preds: Sequence[PredictionInstance],
                                      for inst in chain(preds, gts)))
     pm, gm = masks[:len(preds)], masks[len(preds):]
     return [[mask_iou(p, g) for g in gm] for p in pm]
+
+
+def _iou_rows(task: str, pred_groups: Sequence[Sequence[PredictionInstance]],
+              gt_groups: Sequence[Sequence[GroundTruthInstance]],
+              images: Sequence[ImageRecord]) -> Iterator[list[list[float]]]:
+    """The IoU rows of each image in turn: image k's rows are its
+    predictions in the given order, its columns its ground truths.  Box
+    IoU comes from one columnar pass over all images; mask IoU runs per
+    image, from one rasterizer call for its predictions and ground
+    truths."""
+    if task == DETECTION:
+        return box_pair_rows(
+            list(map(len, pred_groups)), box_columns(p.bbox for ps in pred_groups for p in ps),
+            list(map(len, gt_groups)), box_columns(g.bbox for gs in gt_groups for g in gs),
+            box_iou_columns)
+    return map(_mask_iou_rows, pred_groups, gt_groups, images)
 
 
 def _greedy_pairs(rows: Sequence[Sequence[float]], tau: float
@@ -122,10 +126,7 @@ def match_image(preds: Sequence[PredictionInstance],
     ``preds`` must already be in descending-score order.
     """
     gts = sorted(gts, key=lambda g: g.id)
-    if task == DETECTION:
-        rows = _box_iou_rows([preds], [gts])[0]
-    else:
-        rows = _mask_iou_rows(preds, gts, image)
+    rows = next(_iou_rows(task, [preds], [gts], [image]))
     raw = _greedy_pairs(rows, tau)
     matched_preds = {i for i, _, _ in raw}
     matched_gts = {j for _, j, _ in raw}
@@ -226,18 +227,14 @@ def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
     over the dataset and per image.
 
     Each image's IoU rows are computed once and serve every threshold.
-    Box IoU comes from one columnar pass over all images; mask IoU runs
-    per image, from one rasterizer call for its predictions and ground
-    truths.  Counts are aggregated in dataset image order.
+    Counts are aggregated in dataset image order.
     """
     images = dataset.images
     pred_groups = [preds.instances_for(image.id) for image in images]
-    gt_groups = [sorted(dataset.instances_for(image.id), key=lambda g: g.id)
-                 for image in images]
-    if preds.task == DETECTION:
-        image_rows = _box_iou_rows(pred_groups, gt_groups)
-    else:
-        image_rows = list(map(_mask_iou_rows, pred_groups, gt_groups, images))
+    # Dataset keeps each image's ground truths in id order, the column
+    # order in which _greedy_pairs breaks ties.
+    gt_groups = [dataset.instances_for(image.id) for image in images]
+    image_rows = _iou_rows(preds.task, pred_groups, gt_groups, images)
 
     per_image: dict[int, dict[float, tuple[int, int, int]]] = {}
     tp_sums = [0] * len(THRESHOLDS)

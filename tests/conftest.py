@@ -3,7 +3,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from detsegeval.geometry import RunMask
 
 sys.path.insert(0, str(Path(__file__).parent))  # for reference_impl
 
@@ -25,6 +28,18 @@ def traced_peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_mask(mask) -> RunMask:
+    """A boolean ``height x width`` array as the run mask of its set
+    pixels."""
+    height, width = mask.shape
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    steps = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(steps == 1)
+    ends = np.nonzero(steps == -1)[1]
+    return RunMask(width, height, rows, starts, ends)
 
 
 def make_gt(images, annotations, category=(1, "rip_current")):

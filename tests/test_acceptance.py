@@ -30,7 +30,7 @@ from detsegeval.fusion import (
     refine_segmentation,
     weighted_box_fusion,
 )
-from detsegeval.geometry import BBox, PolygonSet, box_iou, mask_iou, rasterize
+from detsegeval.geometry import BBox, PolygonSet, box_iou, mask_iou, rasterize, rasterize_runs
 from detsegeval.metrics import (
     ConfusionCounts,
     evaluate,
@@ -193,10 +193,10 @@ def test_criterion_3_geometry_matches_oracles():
                  rng.uniform(2, 20), rng.uniform(2, 20))
         scale = 8
         grid = 64 * scale
-        ra = rasterize(PolygonSet.from_lists(
+        ra = rasterize_runs(PolygonSet.from_lists(
             [[v * scale for v in (a.x, a.y, a.x2, a.y, a.x2, a.y2, a.x, a.y2)]]),
             grid, grid)
-        rb = rasterize(PolygonSet.from_lists(
+        rb = rasterize_runs(PolygonSet.from_lists(
             [[v * scale for v in (b.x, b.y, b.x2, b.y, b.x2, b.y2, b.x, b.y2)]]),
             grid, grid)
         assert abs(box_iou(a, b) - mask_iou(ra, rb)) <= 0.01

@@ -164,6 +164,14 @@ class TestValidate:
         assert run(["score", bad_gt, det, "--task", "det", "--out", root / "s"]) == 2
         assert "duplicate annotation id 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "score"])
+    def test_gt_json_array_exit_2(self, workspace, capsys, command):
+        root, _, det, _ = workspace
+        gt = write_json_file(root / "array_gt.json", [])
+        assert run([command, gt, det, "--task", "det", "--out", root / "out"]) == 2
+        assert "ground truth must be a JSON object" in capsys.readouterr().err
+        assert not (root / "out").exists()
+
     def test_missing_file_exit_1(self, workspace):
         _, gt, _, _ = workspace
         assert run(["validate", gt, "/nonexistent/p.json"]) == 1
@@ -288,6 +296,20 @@ class TestFuse:
         assert run(["fuse", gt, det, "--preset", "identity",
                     "--set", "wbf_iou=abc", "--out", root / "x.json"]) == 3
 
+    def test_set_without_equals_exit_3(self, workspace, capsys):
+        root, gt, _, seg = workspace
+        assert run(["fuse", gt, seg, "--preset", "sigmoid", "--set", "seg_conf",
+                    "--out", root / "x.json"]) == 3
+        assert "configuration error: --set expects key=value" in capsys.readouterr().err
+        assert not (root / "x.json").exists()
+
+    def test_empty_input_takes_output_task(self, workspace):
+        root, gt, _, _ = workspace
+        empty = write_json_file(root / "empty.json", [])
+        out = root / "fused_empty.json"
+        assert run(["fuse", gt, empty, "--preset", "kmg", "--task", "det", "--out", out]) == 0
+        assert json.loads(out.read_text()) == []
+
     def test_each_input_parsed_once(self, workspace, monkeypatch):
         root, gt, det, seg = workspace
         parsed = []
@@ -341,13 +363,16 @@ class TestFuse:
 
     @pytest.mark.parametrize("config", [
         [], "sigmoid", {"params": [1]}, {"params": [["seg_conf", 0.2]]}, {"preset": 5},
-    ], ids=["array", "string", "params-array", "params-pairs", "preset-number"])
+        {"preset": []}, {"preset": {}},
+    ], ids=["array", "string", "params-array", "params-pairs", "preset-number",
+            "preset-array", "preset-object"])
     def test_malformed_preset_config_exit_3(self, workspace, capsys, config):
         root, gt, det, _ = workspace
         cfg = write_json_file(root / "pipeline.json", config)
         assert run(["fuse", gt, det, "--preset", cfg, "--task", "det",
                     "--out", root / "x.json"]) == 3
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
         assert not (root / "x.json").exists()
 
     @pytest.mark.parametrize("config,sets", [
@@ -401,6 +426,14 @@ class TestFuse:
         assert "configuration error" in capsys.readouterr().err
         assert not (root / "x.json").exists()
 
+    def test_detection_output_without_detection_input_exit_3(self, workspace, capsys):
+        root, gt, _, seg = workspace
+        assert run(["fuse", gt, seg, "--preset", "identity", "--task", "det",
+                    "--out", root / "x.json"]) == 3
+        assert ("configuration error: preset 'identity' requires detection inputs"
+                in capsys.readouterr().err)
+        assert not (root / "x.json").exists()
+
     def test_zero_ensemble_threshold_exit_3(self, workspace, capsys):
         root, gt, _, seg = workspace
         assert run(["fuse", gt, seg, "--preset", "uno", "--set", "ensemble_threshold=0",
@@ -437,6 +470,15 @@ class TestLeaderboard:
         assert code == 0
         csv = (root / "lb" / "leaderboard.csv").read_text()
         assert csv.splitlines()[1].startswith("1,team_a,")
+
+    def test_no_submissions_exit_2(self, workspace, capsys):
+        root, gt, _, _ = workspace
+        subs = root / "subs_none"
+        subs.mkdir()
+        (subs / "notes.txt").write_text("not a submission")
+        assert run(["leaderboard", gt, subs, "--task", "det", "--out", root / "lb0"]) == 2
+        assert "no submissions found" in capsys.readouterr().err
+        assert not (root / "lb0").exists()
 
     def test_pipe_in_name_stays_in_its_cell(self, workspace):
         root, gt, det, _ = workspace

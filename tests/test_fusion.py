@@ -96,6 +96,11 @@ class TestFusionParams:
         with pytest.raises(UnknownPresetError):
             preset_params("nope")
 
+    @pytest.mark.parametrize("name", [[], {}, 5, None])
+    def test_non_string_preset_name_rejected(self, name):
+        with pytest.raises(UnknownPresetError):
+            preset_params(name)
+
 
 class TestConfidenceFilter:
     def test_zero_threshold_keeps_all(self):
@@ -318,7 +323,6 @@ class TestMergeBoxesIouIoa:
             merge_boxes_iou_ioa([[(BBox(0, 0, 5, 5), 0.9)]], iou_thr, ioa_thr)
 
     def test_every_dropped_box_overlapped_a_kept_one(self):
-        from detsegeval.geometry import box_ioa
         rng = random.Random(7)
         boxes = [(BBox(rng.uniform(0, 40), rng.uniform(0, 40),
                        rng.uniform(4, 25), rng.uniform(4, 25)),
@@ -329,7 +333,8 @@ class TestMergeBoxesIouIoa:
         for box, _ in boxes:
             if id(box) in kept_set:
                 continue
-            assert any(box_iou(kb, box) >= 0.5 or box_ioa(kb, box) >= 0.8
+            assert any(box_iou(kb, box) >= 0.5
+                       or ref.box_ioa(kb.as_list(), box.as_list()) >= 0.8
                        for kb, _ in kept)
 
 

@@ -22,9 +22,7 @@ from detsegeval.errors import (
 from detsegeval.geometry import (
     BBox,
     PolygonSet,
-    RunMask,
     box_columns,
-    box_ioa,
     box_ioa_columns,
     box_iou,
     box_iou_columns,
@@ -42,13 +40,18 @@ from detsegeval.geometry import (
     trace_largest_contour,
 )
 from detsegeval.geometry import _rdp_chain, _trace_outer_ring
-from conftest import traced_peak_bytes
+from conftest import run_mask, traced_peak_bytes
 import reference_impl as ref
 from reference_impl import pixel_iou, point_in_ring, polygon_pixels
 
 
 def poly(*rings):
     return PolygonSet.from_lists(rings)
+
+
+def box_ioa(a, b):
+    """The scalar oracle of ``box_ioa_columns``, on two BBoxes."""
+    return ref.box_ioa(a.as_list(), b.as_list())
 
 
 def random_ring(rng, width=64, height=64, max_verts=8):
@@ -96,6 +99,12 @@ class TestPolygonToBBox:
 
 
 class TestRasterize:
+    @pytest.mark.parametrize("ring", [[0, 0, 4, 4], [0, 0, 4, 0, 4]],
+                             ids=["two-vertices", "odd-length"])
+    def test_degenerate_ring_rejected(self, ring):
+        with pytest.raises(DegenerateRingError):
+            rasterize_runs(poly(ring), 8, 8)
+
     def test_square_pixel_count(self):
         m = rasterize(poly([0, 0, 10, 0, 10, 10, 0, 10]), 20, 20)
         assert int(m.sum()) == 100
@@ -140,29 +149,29 @@ class TestMaskIou:
     def test_identical(self):
         m = np.zeros((8, 8), bool)
         m[1:4, 1:4] = True
-        assert mask_iou(m, m) == 1.0
+        assert mask_iou(run_mask(m), run_mask(m)) == 1.0
 
     def test_disjoint(self):
         a = np.zeros((8, 8), bool)
         b = np.zeros((8, 8), bool)
         a[0:2, 0:2] = True
         b[5:7, 5:7] = True
-        assert mask_iou(a, b) == 0.0
+        assert mask_iou(run_mask(a), run_mask(b)) == 0.0
 
     def test_shifted_block_third(self):
         a = np.zeros((20, 20), bool)
         b = np.zeros((20, 20), bool)
         a[0:10, 0:10] = True
         b[0:10, 5:15] = True
-        assert mask_iou(a, b) == pytest.approx(1 / 3)
+        assert mask_iou(run_mask(a), run_mask(b)) == pytest.approx(1 / 3)
 
     def test_both_empty(self):
-        z = np.zeros((4, 4), bool)
+        z = run_mask(np.zeros((4, 4), bool))
         assert mask_iou(z, z) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mask_iou(np.zeros((4, 4), bool), np.zeros((4, 5), bool))
+            mask_iou(run_mask(np.zeros((4, 4), bool)), run_mask(np.zeros((4, 5), bool)))
 
 
 @st.composite
@@ -201,14 +210,15 @@ class TestRunMask:
         assert np.array_equal(order, np.arange(len(order)))
         assert (runs_a.starts < runs_a.ends).all()
         iou = mask_iou(runs_a, runs_b)
-        assert iou == mask_iou(painted_a, painted_b) == pixel_iou(pixels_a, pixels_b)
+        assert iou == mask_iou(run_mask(painted_a), run_mask(painted_b)) \
+            == pixel_iou(pixels_a, pixels_b)
 
     def test_array_round_trip(self):
         m = np.zeros((5, 7), bool)
         m[0, :] = True
         m[2, 1:3] = m[2, 4:6] = True
         m[4, 6] = True
-        runs = RunMask.from_array(m)
+        runs = run_mask(m)
         assert runs.rows.tolist() == [0, 2, 2, 4]
         assert runs.starts.tolist() == [0, 1, 4, 6]
         assert runs.ends.tolist() == [7, 3, 6, 7]
@@ -222,7 +232,7 @@ class TestRunMask:
         frames = [rng.random((9, 11)) < 0.4 for _ in range(3)] + [np.zeros((9, 11), bool)]
         for f in frames:
             f[:2] = f[:, :1] = False
-        masks = [RunMask.from_array(f) for f in frames]
+        masks = [run_mask(f) for f in frames]
         expected = np.zeros((7, 10), bool)
         for m in masks:
             for r, s, e in zip(m.rows, m.starts, m.ends):
@@ -421,10 +431,10 @@ class TestBoxOverlap:
             b = BBox(rng.randint(0, 20), rng.randint(0, 20),
                      rng.randint(2, 12), rng.randint(2, 12))
             scale = 10
-            ra = rasterize(poly([v * scale for v in
-                                 [a.x, a.y, a.x2, a.y, a.x2, a.y2, a.x, a.y2]]), 400, 400)
-            rb = rasterize(poly([v * scale for v in
-                                 [b.x, b.y, b.x2, b.y, b.x2, b.y2, b.x, b.y2]]), 400, 400)
+            ra = rasterize_runs(poly([v * scale for v in
+                                      [a.x, a.y, a.x2, a.y, a.x2, a.y2, a.x, a.y2]]), 400, 400)
+            rb = rasterize_runs(poly([v * scale for v in
+                                      [b.x, b.y, b.x2, b.y, b.x2, b.y2, b.x, b.y2]]), 400, 400)
             assert box_iou(a, b) == pytest.approx(mask_iou(ra, rb), abs=0.01)
 
 

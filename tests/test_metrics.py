@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detsegeval.coco import (
+    DETECTION,
     PredictionInstance,
     PredictionSet,
     load_ground_truth,
@@ -20,9 +21,9 @@ from detsegeval.metrics import (
     THRESHOLDS,
     ConfusionCounts,
     MetricsReport,
-    _box_iou_rows,
     _greedy_pairs,
     _greedy_tp_by_threshold,
+    _iou_rows,
     evaluate,
     f_beta,
     final_score,
@@ -199,7 +200,7 @@ class TestColumnarCore:
         pred_groups = [[_pred(0.5, b.as_list(), i) for i, b in enumerate(ps)]
                        for ps, _ in images]
         gt_groups = [[_gt(j + 1, b.as_list()) for j, b in enumerate(gs)] for _, gs in images]
-        rows = _box_iou_rows(pred_groups, gt_groups)
+        rows = list(_iou_rows(DETECTION, pred_groups, gt_groups, [_img()] * len(images)))
         assert rows == [[[box_iou(a, b) for b in gs] for a in ps] for ps, gs in images]
 
     @_deterministic
@@ -366,6 +367,25 @@ class TestEvaluate:
         report = evaluate(ds, preds)
         assert report.f1_range == pytest.approx(100.0 * 5 / 12)
         assert report.f1_headline == 100.0
+
+    def test_ground_truths_kept_and_matched_in_id_order(self, tmp_path):
+        # Ids 5 and 3, listed in that order, tie at IoU 90/110 with the
+        # first prediction.  The tie goes to id 3, so the second
+        # prediction is left with id 5 at IoU 80/120, which fails 0.70.
+        gt = make_gt([image(1)], [annotation(5, 1, [2, 0, 10, 10]),
+                                  annotation(3, 1, [0, 0, 10, 10])])
+        ds = load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
+        preds = load_predictions(
+            write_json_file(tmp_path / "p.json", [det_pred(1, 0.9, [1, 0, 10, 10]),
+                                                  det_pred(1, 0.8, [0, 0, 10, 10])]),
+            ds, "detection")
+        assert [g.id for g in ds.instances_for(1)] == [3, 5]
+        assert _counts_at(ds, preds, 0.70) == ConfusionCounts(1, 1, 1)
+        assert _counts_at(ds, preds, 0.65) == ConfusionCounts(2, 0, 0)
+        m = match_image(preds.instances_for(1), list(reversed(ds.instances_for(1))),
+                        0.70, "detection", ds.images[0])
+        assert m.pairs == [(0, 3, 90 / 110)]
+        assert m.unmatched_predictions == [1] and m.unmatched_ground_truths == [5]
 
     def test_matches_reference_implementation(self, tmp_path):
         from detsegeval.fixtures import generate_fixture
