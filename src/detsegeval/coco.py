@@ -22,14 +22,19 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import (
+    CategoryMismatchError,
+    CocoFormatError,
     DegeneratePayloadError,
     DuplicateImageIdError,
     MalformedJsonError,
     MissingFieldError,
     MultipleCategoriesError,
+    OutsideImageError,
     RleUnsupportedError,
+    ScoreOutOfRangeError,
     SubmissionError,
     UnknownImageRefError,
+    WrongPayloadKindError,
 )
 from .geometry import (
     MAX_COORDINATE,
@@ -88,6 +93,9 @@ class ValidationIssue:
     def to_dict(self) -> dict:
         return {"code": self.code, "message": self.message, "location": self.location}
 
+    def __str__(self) -> str:
+        return f"{self.location}: {self.message}"
+
 
 @dataclass
 class ValidationReport:
@@ -101,8 +109,14 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def error(self, code: str, message: str, location: str) -> None:
-        self.errors.append(ValidationIssue(code, message, location))
+    def check(self, checker, *args):
+        """``checker(*args)``, or None once the coded error it raises is
+        recorded."""
+        try:
+            return checker(*args)
+        except CocoFormatError as exc:
+            self.errors.append(ValidationIssue(exc.code, exc.message, exc.location))
+            return None
 
     def warn(self, code: str, message: str, location: str) -> None:
         self.warnings.append(ValidationIssue(code, message, location))
@@ -169,8 +183,13 @@ def _read_json(path) -> object:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except ValueError as exc:  # bad syntax, bad UTF-8, an over-long integer literal
-        raise MalformedJsonError(f"{path}: {exc}") from exc
+        raise MalformedJsonError(str(exc), str(path)) from exc
 
+
+# One checker per rule, shared by the ground-truth and prediction loaders:
+# each returns the checked value or raises one coded error at ``location``.
+# A JSON null is a present value of the wrong type; only an absent key is
+# a missing field.
 
 def _require(obj: dict, key: str, location: str):
     if key not in obj:
@@ -178,17 +197,18 @@ def _require(obj: dict, key: str, location: str):
     return obj[key]
 
 
-def _is_number(value) -> bool:
-    """Numeric strings and ``true``/``false`` are not numbers, though
-    ``bool`` subclasses ``int``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _require_object(obj, location: str) -> dict:
+    if not isinstance(obj, dict):
+        raise MalformedJsonError("entry is not a JSON object", location)
+    return obj
 
 
 def _number(value, cast):
     """``cast(value)``, or None unless the value is a JSON number of the
     right kind; an ``int`` field takes an integer or an integral float
-    such as ``3.0``."""
-    if not _is_number(value):
+    such as ``3.0``.  Numeric strings and ``true``/``false`` are not
+    numbers, though ``bool`` subclasses ``int``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         return None
     if cast is int and isinstance(value, float) and not value.is_integer():
         return None
@@ -206,9 +226,16 @@ def _json(value) -> str:
         return repr(value)
 
 
-def _not_a_number(key: str, value, cast) -> str:
-    kind = "an integer" if cast is int and isinstance(value, float) else "a number"
-    return f"{key} {_json(value)} is not {kind}"
+def _checked_number(key: str, value, location: str, cast=int):
+    number = _number(value, cast)
+    if number is None:
+        kind = "an integer" if cast is int and isinstance(value, float) else "a number"
+        raise MalformedJsonError(f"{key} {_json(value)} is not {kind}", location)
+    return number
+
+
+def _require_int(obj: dict, key: str, location: str) -> int:
+    return _checked_number(key, _require(obj, key, location), location)
 
 
 def _finite_floats(values) -> Optional[list[float]]:
@@ -227,17 +254,42 @@ def _beyond_bound(floats: list[float]) -> bool:
 _BOUND_TEXT = f"beyond the coordinate bound {MAX_COORDINATE:.0f}"
 
 
-def _require_int(obj: dict, key: str, location: str) -> int:
-    value = _number(_require(obj, key, location), int)
-    if value is None:
-        raise MalformedJsonError(f"{location}: {_not_a_number(key, obj[key], int)}")
-    return value
+def _image_ref(images: dict[int, ImageRecord], image_id: int, location: str) -> ImageRecord:
+    image = images.get(image_id)
+    if image is None:
+        raise UnknownImageRefError(f"unknown image id {image_id}", location)
+    return image
 
 
-def _require_object(obj, location: str) -> dict:
-    if not isinstance(obj, dict):
-        raise MalformedJsonError(f"{location}: entry must be a JSON object")
-    return obj
+def _check_category(value, category_id: int, location: str) -> int:
+    cat = _checked_number("category_id", value, location)
+    if cat != category_id:
+        raise CategoryMismatchError(
+            f"category_id {cat} does not match the dataset category {category_id}", location)
+    return cat
+
+
+def _check_box(raw_box, location: str) -> BBox:
+    coords = (_finite_floats(raw_box)
+              if isinstance(raw_box, list) and len(raw_box) == 4 else None)
+    if coords is None:
+        raise MalformedJsonError(f"bbox must be 4 finite numbers, got {_json(raw_box)}",
+                                 location)
+    if _beyond_bound(coords):
+        raise MalformedJsonError(f"bbox {_json(raw_box)} has a value {_BOUND_TEXT}", location)
+    if coords[2] <= 0 or coords[3] <= 0:
+        raise DegeneratePayloadError(f"box {_json(raw_box)} has no area", location)
+    return BBox(*coords)
+
+
+def _check_inside(box: BBox, image: ImageRecord, location: str) -> bool:
+    """Whether the box overhangs its image; a box lying fully outside it
+    raises, as no part of it can be matched."""
+    if (min(box.x2, image.width) <= max(box.x, 0.0)
+            or min(box.y2, image.height) <= max(box.y, 0.0)):
+        raise OutsideImageError(f"box {box.as_list()} lies fully outside the "
+                                f"{image.width}x{image.height} image", location)
+    return box.x < 0 or box.y < 0 or box.x2 > image.width or box.y2 > image.height
 
 
 def _check_ring_list(raw_seg, location: str) -> PolygonSet:
@@ -247,56 +299,45 @@ def _check_ring_list(raw_seg, location: str) -> PolygonSet:
     ``RleUnsupported``, ``DegeneratePayload`` for a list that holds no
     usable polygon, ``MalformedJson`` for a value of the wrong JSON type."""
     if isinstance(raw_seg, dict):
-        raise RleUnsupportedError(
-            f"{location}: RLE-encoded segmentation is not supported, "
-            "only polygon encoding is accepted"
-        )
+        raise RleUnsupportedError("RLE-encoded segmentation is not supported, "
+                                  "only polygon encoding is accepted", location)
     if not isinstance(raw_seg, list) or not raw_seg:
         error = DegeneratePayloadError if isinstance(raw_seg, list) else MalformedJsonError
-        raise error(f"{location}: segmentation must be a non-empty list of rings")
+        raise error("segmentation must be a non-empty list of rings", location)
     rings = []
     for k, ring in enumerate(raw_seg):
         if not isinstance(ring, list) or len(ring) < 6 or len(ring) % 2 != 0:
             error = DegeneratePayloadError if isinstance(ring, list) else MalformedJsonError
-            raise error(f"{location}: ring {k} must hold at least 3 (x, y) vertices")
+            raise error(f"ring {k} must hold at least 3 (x, y) vertices", location)
         floats = _finite_floats(ring)
         if floats is None:
-            raise MalformedJsonError(
-                f"{location}: ring {k} has a coordinate that is not a finite number")
+            raise MalformedJsonError(f"ring {k} has a coordinate that is not a finite number",
+                                     location)
         if _beyond_bound(floats):
-            raise MalformedJsonError(f"{location}: ring {k} has a coordinate {_BOUND_TEXT}")
+            raise MalformedJsonError(f"ring {k} has a coordinate {_BOUND_TEXT}", location)
         rings.append(tuple(floats))
     poly = PolygonSet(tuple(rings))
     if all(polygon_area(r) == 0 for r in poly.rings):
-        raise DegeneratePayloadError(f"{location}: every ring has zero area")
+        raise DegeneratePayloadError("every ring has zero area", location)
     return poly
-
-
-def _outside_image(box: BBox, image: ImageRecord) -> Optional[str]:
-    """Why a box lying fully outside its image cannot be kept, or None
-    when any part of it is inside (an overhang is allowed)."""
-    if (min(box.x2, image.width) <= max(box.x, 0.0)
-            or min(box.y2, image.height) <= max(box.y, 0.0)):
-        return f"box {box.as_list()} lies fully outside the {image.width}x{image.height} image"
-    return None
 
 
 def load_ground_truth(path) -> Dataset:
     """Parse and validate a COCO ground-truth file (always strict)."""
     data = _read_json(path)
     if not isinstance(data, dict):
-        raise MalformedJsonError(f"{path}: ground truth must be a JSON object")
+        raise MalformedJsonError("ground truth must be a JSON object", str(path))
     raw_images = _require(data, "images", str(path))
     raw_annotations = _require(data, "annotations", str(path))
     raw_categories = _require(data, "categories", str(path))
     if not (isinstance(raw_images, list) and isinstance(raw_annotations, list)):
-        raise MalformedJsonError(f"{path}: images and annotations must be JSON arrays")
+        raise MalformedJsonError("images and annotations must be JSON arrays", str(path))
 
     if not isinstance(raw_categories, list) or len(raw_categories) != 1:
         raise MultipleCategoriesError(
-            f"{path}: expected exactly one category, found "
-            f"{len(raw_categories) if isinstance(raw_categories, list) else 'non-list'}"
-        )
+            "expected exactly one category, found "
+            f"{len(raw_categories) if isinstance(raw_categories, list) else 'non-list'}",
+            str(path))
     category = _require_object(raw_categories[0], "categories[0]")
     category_id = _require_int(category, "id", "categories[0]")
     category_name = str(category.get("name", ""))
@@ -308,8 +349,8 @@ def load_ground_truth(path) -> Dataset:
 
 def _ground_truth_items(raw_images: list, raw_annotations: list, category_id: int
                         ) -> tuple[list[ImageRecord], list[GroundTruthInstance]]:
-    """Images and instances, checked one item at a time; raises on the
-    first fault with its location."""
+    """Images and instances, checked one item at a time; the first fault
+    propagates."""
     images: dict[int, ImageRecord] = {}
     for k, raw in enumerate(raw_images):
         loc = f"images[{k}]"
@@ -319,13 +360,12 @@ def _ground_truth_items(raw_images: list, raw_annotations: list, category_id: in
         height = _require_int(raw, "height", loc)
         file_name = _require(raw, "file_name", loc)
         if not isinstance(file_name, str):
-            raise MalformedJsonError(f"{loc}: file_name {_json(file_name)} is not a string")
+            raise MalformedJsonError(f"file_name {_json(file_name)} is not a string", loc)
         if image_id in images:
-            raise DuplicateImageIdError(f"{loc}: duplicate image id {image_id}")
+            raise DuplicateImageIdError(f"duplicate image id {image_id}", loc)
         if not (1 <= width <= MAX_IMAGE_SIDE and 1 <= height <= MAX_IMAGE_SIDE):
-            raise MalformedJsonError(
-                f"{loc}: image dimensions must be between 1 and {MAX_IMAGE_SIDE}, "
-                f"got {width}x{height}")
+            raise MalformedJsonError(f"image dimensions must be between 1 and {MAX_IMAGE_SIDE}, "
+                                     f"got {width}x{height}", loc)
         images[image_id] = ImageRecord(image_id, width, height, file_name)
 
     instances: list[GroundTruthInstance] = []
@@ -337,32 +377,14 @@ def _ground_truth_items(raw_images: list, raw_annotations: list, category_id: in
         # collide with a real id either: ids break matching ties.
         ann_id = _require_int(raw, "id", loc) if "id" in raw else k
         if ann_id in ann_ids:
-            raise MalformedJsonError(f"{loc}: duplicate annotation id {ann_id}")
+            raise MalformedJsonError(f"duplicate annotation id {ann_id}", loc)
         ann_ids.add(ann_id)
-        image_id = _require_int(raw, "image_id", loc)
-        image = images.get(image_id)
-        if image is None:
-            raise UnknownImageRefError(f"{loc}: references unknown image id {image_id}")
-        cat = _require_int(raw, "category_id", loc)
-        if cat != category_id:
-            raise MalformedJsonError(
-                f"{loc}: category_id {cat} does not match the dataset category {category_id}"
-            )
-        raw_box = _require(raw, "bbox", loc)
-        if not (isinstance(raw_box, list) and len(raw_box) == 4
-                and all(map(_is_number, raw_box))):
-            raise MalformedJsonError(f"{loc}: bbox must be [x, y, w, h]")
-        coords = _finite_floats(raw_box)
-        if coords is None or coords[2] <= 0 or coords[3] <= 0:
-            raise MalformedJsonError(f"{loc}: degenerate bbox {_json(raw_box)}")
-        if _beyond_bound(coords):
-            raise MalformedJsonError(f"{loc}: bbox {_json(raw_box)} has a value {_BOUND_TEXT}")
-        box = BBox(*coords)
+        image = _image_ref(images, _require_int(raw, "image_id", loc), loc)
+        cat = _check_category(_require(raw, "category_id", loc), category_id, loc)
+        box = _check_box(_require(raw, "bbox", loc), loc)
         poly = _check_ring_list(_require(raw, "segmentation", loc), loc)
-        outside = _outside_image(box, image)
-        if outside:
-            raise MalformedJsonError(f"{loc}: {outside}")
-        instances.append(GroundTruthInstance(ann_id, image_id, box, poly, cat))
+        _check_inside(box, image, loc)
+        instances.append(GroundTruthInstance(ann_id, image.id, box, poly, cat))
     return list(images.values()), instances
 
 
@@ -422,7 +444,7 @@ def _boxes_and_array(raw_boxes) -> Optional[tuple[list[BBox], np.ndarray]]:
 
 
 def _fully_outside(xywh: np.ndarray, width: np.ndarray, height: np.ndarray) -> np.ndarray:
-    """:func:`_outside_image` for each row of boxes."""
+    """:func:`_check_inside`'s fully-outside test for each row of boxes."""
     x, y, w, h = xywh.T
     return ((np.minimum(x + w, width) <= np.maximum(x, 0.0))
             | (np.minimum(y + h, height) <= np.maximum(y, 0.0)))
@@ -510,120 +532,67 @@ def _polygon_columns(raw_segs) -> Optional[list[PolygonSet]]:
             for seg, end in zip(raw_segs, ring_ends)]
 
 
+def _check_score(raw: dict, location: str) -> float:
+    score = _checked_number("score", _require(raw, "score", location), location, float)
+    if not (math.isfinite(score) and 0.0 <= score <= 1.0):
+        raise ScoreOutOfRangeError(f"score {score} outside [0, 1]", location)
+    return score
+
+
+def _payload(raw: dict, key: str, check, location: str):
+    """``check(raw[key])``; an entry without ``key`` carries the other
+    task's payload or none."""
+    if key not in raw:
+        task, other = (DETECTION, "segmentation") if key == "bbox" else (SEGMENTATION, "bbox")
+        raise WrongPayloadKindError(
+            f"{task} task but entry carries {other if other in raw else 'nothing'}", location)
+    return check(raw[key], location)
+
+
+def _check_pixels(poly: PolygonSet, image: ImageRecord, location: str) -> None:
+    if rasterize_runs(poly, image.width, image.height).rows.size == 0:
+        raise DegeneratePayloadError("polygon rasterizes to zero pixels at image resolution",
+                                     location)
+
+
 def _parse_prediction_items(data, dataset: Dataset, task: str,
                             report: ValidationReport) -> list[PredictionInstance]:
-    """Build instances from raw result objects, collecting issues.
+    """Build instances from raw result objects, recording each fault.
 
-    Only instances free of errors are returned; the rest are counted in
-    ``instances_dropped`` (the lenient-mode behavior)."""
+    A missing or non-integer ``image_id`` ends an item's checks; the other
+    checks all run.  Only instances free of errors are returned; the rest
+    are counted in ``instances_dropped`` (the lenient-mode behavior)."""
     retained: list[PredictionInstance] = []
     image_ids_seen: set[int] = set()
     for k, raw in enumerate(data):
         loc = f"predictions[{k}]"
         report.instances_seen += 1
-        if not isinstance(raw, dict):
-            report.error("MalformedJson", "result entry is not an object", loc)
-            report.instances_dropped += 1
-            continue
-
-        ok = True
-        raw_image_id = raw.get("image_id")
-        image_id = _number(raw_image_id, int)
+        faults = len(report.errors)
+        image_id = report.check(lambda: _require_int(_require_object(raw, loc), "image_id", loc))
         if image_id is None:
-            if raw_image_id is None:
-                report.error("MissingField", "missing image_id", loc)
-            else:
-                report.error("MalformedJson", _not_a_number("image_id", raw_image_id, int), loc)
             report.instances_dropped += 1
             continue
         image_ids_seen.add(image_id)
-        image = dataset.images_by_id.get(image_id)
-        if image is None:
-            report.error("UnknownImageRef", f"unknown image id {image_id}", loc)
-            ok = False
-
-        raw_score = raw.get("score")
-        score = _number(raw_score, float)
-        if score is None:
-            if raw_score is None:
-                report.error("MissingField", "missing score", loc)
-            else:
-                report.error("MalformedJson", _not_a_number("score", raw_score, float), loc)
-            ok = False
-            score = 0.0
-        elif not math.isfinite(score) or score < 0.0 or score > 1.0:
-            report.error("ScoreOutOfRange", f"score {score} outside [0, 1]", loc)
-            ok = False
-
-        category_id = _number(raw.get("category_id", dataset.category_id), int)
-        if category_id is None:
-            report.error("MalformedJson",
-                         _not_a_number("category_id", raw["category_id"], int), loc)
-            ok = False
-        elif category_id != dataset.category_id:
-            report.error("CategoryMismatch",
-                         f"category_id {category_id} does not match the dataset "
-                         f"category {dataset.category_id}", loc)
-            ok = False
-
-        box: Optional[BBox] = None
-        poly: Optional[PolygonSet] = None
+        image = report.check(_image_ref, dataset.images_by_id, image_id, loc)
+        score = report.check(_check_score, raw, loc)
+        category_id = report.check(_check_category, raw.get("category_id", dataset.category_id),
+                                   dataset.category_id, loc)
+        box = poly = None
         if task == DETECTION:
-            raw_box = raw.get("bbox")
-            coords = (_finite_floats(raw_box)
-                      if isinstance(raw_box, list) and len(raw_box) == 4 else None)
-            if raw_box is None:
-                kind = "segmentation" if "segmentation" in raw else "nothing"
-                report.error("WrongPayloadKind",
-                             f"detection task but entry carries {kind}", loc)
-                ok = False
-            elif coords is None:
-                report.error("MalformedJson",
-                             f"bbox must be 4 finite numbers, got {_json(raw_box)}", loc)
-                ok = False
-            elif _beyond_bound(coords):
-                report.error("MalformedJson", f"bbox {_json(raw_box)} has a value {_BOUND_TEXT}",
-                             loc)
-                ok = False
-            else:
-                box = BBox(*coords)
-                if box.w <= 0 or box.h <= 0:
-                    report.error("DegeneratePayload", f"box {_json(raw_box)} has no area", loc)
-                    ok = False
-                elif image is not None:
-                    outside = _outside_image(box, image)
-                    if outside:
-                        report.error("OutsideImage", outside, loc)
-                        ok = False
-                    elif (box.x < 0 or box.y < 0 or box.x2 > image.width
-                          or box.y2 > image.height):
-                        report.warn("BoxOutsideImage", f"box {box.as_list()} extends past "
-                                    f"the {image.width}x{image.height} image bounds", loc)
+            box = report.check(_payload, raw, "bbox", _check_box, loc)
+            if box is not None and image is not None and report.check(
+                    _check_inside, box, image, loc):
+                report.warn("BoxOutsideImage", f"box {box.as_list()} extends past "
+                            f"the {image.width}x{image.height} image bounds", loc)
         else:
-            raw_seg = raw.get("segmentation")
-            if raw_seg is None:
-                kind = "bbox" if "bbox" in raw else "nothing"
-                report.error("WrongPayloadKind",
-                             f"segmentation task but entry carries {kind}", loc)
-                ok = False
-            else:
-                try:
-                    poly = _check_ring_list(raw_seg, loc)
-                except MalformedJsonError as exc:
-                    report.error(exc.code, str(exc), loc)
-                    ok = False
-                if poly is not None and image is not None:
-                    if rasterize_runs(poly, image.width, image.height).rows.size == 0:
-                        report.error("DegeneratePayload",
-                                     "polygon rasterizes to zero pixels at image resolution",
-                                     loc)
-                        ok = False
-
-        if not ok:
+            poly = report.check(_payload, raw, "segmentation", _check_ring_list, loc)
+            if poly is not None and image is not None:
+                report.check(_check_pixels, poly, image, loc)
+        if len(report.errors) > faults:
             report.instances_dropped += 1
-            continue
-        retained.append(PredictionInstance(image_id, score, category_id, k,
-                                           bbox=box, segmentation=poly))
+        else:
+            retained.append(PredictionInstance(image_id, score, category_id, k,
+                                               bbox=box, segmentation=poly))
     report.images_seen = len(image_ids_seen)
     return retained
 
@@ -700,7 +669,7 @@ def read_predictions(path) -> list:
     """Parse a prediction file, which must hold a JSON array."""
     data = _read_json(path)
     if not isinstance(data, list):
-        raise MalformedJsonError(f"{path}: predictions must be a JSON array")
+        raise MalformedJsonError("predictions must be a JSON array", str(path))
     return data
 
 

@@ -34,9 +34,16 @@ class CoordinateBoundError(GeometryError):
 # --- file formats / validation ----------------------------------------------
 
 class CocoFormatError(DetSegEvalError):
-    """Base class for ground-truth / prediction format errors."""
+    """Base class for ground-truth / prediction format errors.  ``message``
+    says what is wrong and ``location`` where (``"predictions[2]"``), and
+    ``str()`` reads ``"location: message"``."""
 
     code = "CocoFormat"
+
+    def __init__(self, message: str, location: str = ""):
+        self.message = message
+        self.location = location
+        super().__init__(f"{location}: {message}" if location else message)
 
 
 class MalformedJsonError(CocoFormatError):
@@ -48,18 +55,26 @@ class RleUnsupportedError(MalformedJsonError):
 
 
 class DegeneratePayloadError(MalformedJsonError):
-    """A polygon with too few vertices, an odd coordinate count or no area."""
+    """A box or polygon with no area, or a polygon with too few vertices
+    or an odd coordinate count."""
 
     code = "DegeneratePayload"
+
+
+class CategoryMismatchError(MalformedJsonError):
+    code = "CategoryMismatch"
+
+
+class OutsideImageError(MalformedJsonError):
+    code = "OutsideImage"
 
 
 class MissingFieldError(CocoFormatError):
     code = "MissingField"
 
-    def __init__(self, field, location=""):
+    def __init__(self, field: str, location: str = ""):
         self.field = field
-        where = f" in {location}" if location else ""
-        super().__init__(f"missing required field '{field}'{where}")
+        super().__init__(f"missing {field}", location)
 
 
 class DuplicateImageIdError(CocoFormatError):
@@ -74,6 +89,14 @@ class MultipleCategoriesError(CocoFormatError):
     code = "MultipleCategories"
 
 
+class ScoreOutOfRangeError(CocoFormatError):
+    code = "ScoreOutOfRange"
+
+
+class WrongPayloadKindError(CocoFormatError):
+    code = "WrongPayloadKind"
+
+
 class SubmissionError(CocoFormatError):
     """Strict-mode rejection of a prediction file; carries the full report."""
 
@@ -81,10 +104,8 @@ class SubmissionError(CocoFormatError):
 
     def __init__(self, report):
         self.report = report
-        first = report.errors[0].message if report.errors else "unknown error"
-        super().__init__(
-            f"submission rejected: {len(report.errors)} error(s), first: {first}"
-        )
+        first = report.errors[0] if report.errors else "unknown error"
+        super().__init__(f"submission rejected: {len(report.errors)} error(s), first: {first}")
 
 
 # --- fusion / metrics --------------------------------------------------------

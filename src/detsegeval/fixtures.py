@@ -81,8 +81,14 @@ def generate_fixture(seed: int, n_images: int = 8, max_instances: int = 4,
     and ``seg`` (prediction result lists for the two tasks).  Output is a
     pure function of the arguments.
     """
-    if perturbation < 0:
-        raise ValueError("perturbation must be >= 0")
+    for name, count in (("n_images", n_images), ("max_instances", max_instances)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    if not (math.isfinite(perturbation) and perturbation >= 0):
+        raise ValueError(f"perturbation must be a finite number >= 0, got {perturbation}")
+    if not 1 <= min_size <= max_size:
+        raise ValueError(f"sizes must satisfy 1 <= min_size <= max_size, "
+                         f"got {min_size} and {max_size}")
     rng = random.Random(seed)
     images = []
     annotations = []

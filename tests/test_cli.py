@@ -10,6 +10,7 @@ import pytest
 
 import detsegeval
 from detsegeval.cli import main
+from detsegeval.fixtures import generate_fixture
 from detsegeval.fusion import PRESETS
 from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
 
@@ -132,7 +133,7 @@ class TestValidate:
         data["annotations"][0]["bbox"][2] = 10 ** 400
         bad_gt = write_json_file(root / "bad_gt.json", data)
         assert run(["score", bad_gt, det, "--task", "det", "--out", root / "s"]) == 2
-        assert "annotations[0] (id=1): degenerate bbox" in capsys.readouterr().err
+        assert "annotations[0] (id=1): bbox must be 4 finite numbers" in capsys.readouterr().err
 
     def test_integer_literal_past_parser_limit_exit_2(self, workspace):
         root, gt, _, _ = workspace
@@ -231,6 +232,19 @@ class TestScore:
         manifest = json.loads((root / "m" / "manifest.json").read_text())
         assert manifest["config"]["betas"] == [1.0, 2.0]
         assert manifest["config"]["jobs"] == 1
+
+    @pytest.mark.parametrize("command", ["score", "leaderboard"])
+    def test_strict_rejection_names_first_fault_location(self, workspace, capsys, command):
+        root, gt, _, _ = workspace
+        subs = root / "subs_strict"
+        subs.mkdir()
+        bad = write_json_file(subs / "bad.json", [
+            det_pred(1, 0.9, [8, 8, 24, 24]), det_pred(2, 0.8, [10, 12, 30, 30]),
+            det_pred(99, 0.7, [8, 8, 24, 24])])
+        source = bad if command == "score" else subs
+        assert run([command, gt, source, "--task", "det", "--out", root / "out"]) == 2
+        assert ("submission rejected: 1 error(s), first: predictions[2]: unknown image id 99"
+                in capsys.readouterr().err)
 
 
 # sha256 of every preset's fused output on the fixture of `golden_inputs`:
@@ -569,6 +583,20 @@ class TestGenFixture:
         for name in ("gt.json", "pred_det.json", "pred_seg.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("option,value,name", [
+        ("--images", -3, "n_images"), ("--max-instances", -1, "max_instances"),
+        ("--perturbation", "nan", "perturbation"), ("--perturbation", "inf", "perturbation"),
+        ("--perturbation", -0.5, "perturbation")])
+    def test_bad_argument_named_exit_3(self, tmp_path, capsys, option, value, name):
+        assert run(["gen-fixture", "--seed", 1, option, value, "--out", tmp_path / "bad"]) == 3
+        assert f"configuration error: {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("min_size,max_size", [(0, 8), (64, 32)])
+    def test_bad_size_range_rejected(self, min_size, max_size):
+        with pytest.raises(ValueError, match="1 <= min_size <= max_size"):
+            generate_fixture(1, min_size=min_size, max_size=max_size)
 
     def test_size_zero_valid_empty_dataset(self, tmp_path):
         assert run(["gen-fixture", "--seed", 1, "--images", 0,

@@ -20,13 +20,17 @@ from detsegeval.coco import (
     write_json,
 )
 from detsegeval.errors import (
+    CategoryMismatchError,
     CocoFormatError,
     DuplicateImageIdError,
     MalformedJsonError,
     MissingFieldError,
     MultipleCategoriesError,
+    OutsideImageError,
+    ScoreOutOfRangeError,
     SubmissionError,
     UnknownImageRefError,
+    WrongPayloadKindError,
 )
 from detsegeval.fixtures import generate_fixture
 from detsegeval.geometry import PolygonSet, rasterize
@@ -181,7 +185,8 @@ class TestLoadGroundTruth:
         gt = make_gt([image(1)], [annotation(3, 1, [10 ** 400, 0, 5, 5],
                                              segmentation=[[0, 0, 5, 0, 5, 5]])])
         path = write_json_file(tmp_path / "gt.json", gt)
-        with pytest.raises(MalformedJsonError, match=r"annotations\[0\] \(id=3\): degenerate bbox"):
+        with pytest.raises(MalformedJsonError,
+                           match=r"annotations\[0\] \(id=3\): bbox must be 4 finite numbers"):
             load_ground_truth(path)
 
 
@@ -440,7 +445,8 @@ class TestLoaderMessages:
         gt = make_gt([image(1)], [annotation(1, 1, [True, 23.75, 24.0, 18.5])])
         path = write_json_file(tmp_path / "gt.json", gt)
         with pytest.raises(MalformedJsonError,
-                           match=re.escape("annotations[0] (id=1): bbox must be [x, y, w, h]")):
+                           match=re.escape("annotations[0] (id=1): bbox must be 4 finite numbers, "
+                                           "got [true, 23.75, 24.0, 18.5]")):
             load_ground_truth(path)
 
     def test_category_id_is_quoted_as_json(self, tmp_path):
@@ -461,6 +467,84 @@ class TestLoaderMessages:
         with pytest.raises(MalformedJsonError, match=re.escape(
                 f"images[1]: file_name {json.dumps(file_name)} is not a string")):
             load_ground_truth(path)
+
+
+# Each fault both loaders can meet, as an edit of a valid annotation and of
+# a valid prediction of the task the edit needs.
+_SHARED_FAULTS = [
+    ("detection", {"image_id": "1"}),
+    ("detection", {"image_id": 99}),
+    ("detection", {"category_id": 2}),
+    ("detection", {"bbox": ["10", 10, 20, 20]}),
+    ("detection", {"bbox": [10, 10, float("inf"), 20]}),
+    ("detection", {"bbox": [10, 10, 2.0 ** 65, 20]}),
+    ("detection", {"bbox": [10, 10, 0, 20]}),
+    ("detection", {"bbox": [500, 500, 10, 10]}),
+    ("segmentation", {"segmentation": [[10, 10, 20, 20]]}),
+    ("segmentation", {"segmentation": [[10, 10, 20, 20, 30, 30]]}),
+    ("segmentation", {"segmentation": {"counts": "abc", "size": [4, 4]}}),
+]
+
+
+class TestSharedChecks:
+    """Ground truth and predictions run one checker per rule."""
+
+    @pytest.mark.parametrize("task,edit", _SHARED_FAULTS, ids=[
+        "non-integer-image-id", "unknown-image", "category-mismatch", "non-number-bbox",
+        "non-finite-bbox", "bbox-beyond-bound", "zero-width-box", "box-outside-image",
+        "short-ring", "zero-area-ring", "rle"])
+    def test_loaders_agree(self, tmp_path, task, edit):
+        ann = dict(annotation(1, 1, [10, 10, 20, 20]), **edit)
+        path = write_json_file(tmp_path / "gt.json", make_gt([image(1)], [ann]))
+        with pytest.raises(CocoFormatError) as exc:
+            load_ground_truth(path)
+        pred = det_pred(1, 0.5, [10, 10, 20, 20]) if task == "detection" else \
+            seg_pred(1, 0.5, [[10, 10, 30, 10, 30, 30, 10, 30]])
+        ds = Dataset([coco.ImageRecord(1, 100, 100, "a.jpg")], [], 1, "rip_current")
+        _, report = parse_predictions([dict(pred, **edit)], ds, task)
+        [error] = report.errors
+        assert (exc.value.code, exc.value.message) == (error.code, error.message)
+        assert (exc.value.location, error.location) == ("annotations[0] (id=1)", "predictions[0]")
+        assert str(exc.value) == f"annotations[0] (id=1): {error.message}"
+        assert not error.message.startswith(error.location)
+
+    def test_coded_errors_stay_malformed_json(self):
+        assert issubclass(CategoryMismatchError, MalformedJsonError)
+        assert issubclass(OutsideImageError, MalformedJsonError)
+        assert (ScoreOutOfRangeError.code, WrongPayloadKindError.code) == \
+               ("ScoreOutOfRange", "WrongPayloadKind")
+        assert str(CocoFormatError("no area", "predictions[3]")) == "predictions[3]: no area"
+        assert str(CocoFormatError("no area")) == "no area"
+
+    @pytest.mark.parametrize("field", ["image_id", "score", "category_id"])
+    def test_null_is_a_value_of_the_wrong_type(self, tiny_gt_path, tmp_path, field):
+        ds = load_ground_truth(tiny_gt_path)
+        item = det_pred(1, 0.5, [10, 10, 20, 20])
+        _, report = parse_predictions([dict(item, **{field: None})], ds, "detection")
+        assert [(e.code, e.location, e.message) for e in report.errors] == \
+               [("MalformedJson", "predictions[0]", f"{field} null is not a number")]
+        del item[field]
+        _, report = parse_predictions([item], ds, "detection")
+        expected = [] if field == "category_id" else [("MissingField", f"missing {field}")]
+        assert [(e.code, e.message) for e in report.errors] == expected
+        if field != "score":
+            gt = make_gt([image(1)], [dict(annotation(1, 1, [10, 10, 20, 20]), **{field: None})])
+            with pytest.raises(MalformedJsonError, match=f"{field} null is not a number"):
+                load_ground_truth(write_json_file(tmp_path / "gt.json", gt))
+
+    @pytest.mark.parametrize("task,key,other,message", [
+        ("detection", "bbox", "segmentation", "bbox must be 4 finite numbers, got null"),
+        ("segmentation", "segmentation", "bbox", "segmentation must be a non-empty list of rings"),
+    ])
+    def test_null_payload_is_malformed_absent_is_wrong_kind(self, tiny_gt_path, task, key,
+                                                           other, message):
+        ds = load_ground_truth(tiny_gt_path)
+        item = {"image_id": 1, "score": 0.5, other: [[10, 10, 20, 10, 20, 20]]}
+        _, report = parse_predictions([dict(item, **{key: None})], ds, task)
+        assert [(e.code, e.message) for e in report.errors] == [("MalformedJson", message)]
+        _, report = parse_predictions([item], ds, task)
+        assert [(e.code, e.message) for e in report.errors] == \
+               [("WrongPayloadKind", f"{task} task but entry carries {other}")]
 
 
 class TestCoordinateBound:
