@@ -24,6 +24,7 @@ from .coco import (
     load_ground_truth,
     load_predictions,
     parse_predictions,
+    payload_task,
     predictions_to_list,
     read_predictions,
     to_json,
@@ -151,7 +152,7 @@ def cmd_fuse(args) -> int:
     inputs = []
     for path in args.inputs:
         items = read_predictions(path)
-        inputs.append(load_predictions(items, dataset, _payload_task(items, task),
+        inputs.append(load_predictions(items, dataset, payload_task(items, task),
                                        lenient=args.lenient))
     fused = run_preset(preset, dataset, inputs, task, params)
     write_json(predictions_to_list(fused), args.out)
@@ -162,17 +163,6 @@ def cmd_fuse(args) -> int:
         [args.ground_truth] + list(args.inputs),
     )
     return 0
-
-
-def _payload_task(items: list, fallback: str) -> str:
-    """Task of the first result's payload; ``fallback`` when the list is
-    empty or its first entry carries neither payload."""
-    if items and isinstance(items[0], dict):
-        if "segmentation" in items[0]:
-            return SEGMENTATION
-        if "bbox" in items[0]:
-            return DETECTION
-    return fallback
 
 
 def cmd_leaderboard(args) -> int:
@@ -191,13 +181,12 @@ def cmd_leaderboard(args) -> int:
             print(f"invalid submission {path.name}: {exc}", file=sys.stderr)
     if len(loaded) < len(submissions):
         return 2
-    rows = leaderboard([(name, evaluate(dataset, preds))
-                        for name, preds in loaded])
+    ranked = leaderboard([(name, evaluate(dataset, preds)) for name, preds in loaded])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "leaderboard.csv").write_text(leaderboard_csv(rows), encoding="utf-8")
-    (out_dir / "leaderboard.md").write_text(leaderboard_markdown(rows), encoding="utf-8")
-    print(leaderboard_markdown(rows), end="")
+    (out_dir / "leaderboard.csv").write_text(leaderboard_csv(ranked), encoding="utf-8")
+    (out_dir / "leaderboard.md").write_text(leaderboard_markdown(ranked), encoding="utf-8")
+    print(leaderboard_markdown(ranked), end="")
     return 0
 
 

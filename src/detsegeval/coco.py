@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat, starmap
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -104,10 +104,6 @@ class ValidationReport:
     images_seen: int = 0
     instances_seen: int = 0
     instances_dropped: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
     def check(self, checker, *args):
         """``checker(*args)``, or None once the coded error it raises is
@@ -394,8 +390,6 @@ def _ground_truth_items(raw_images: list, raw_annotations: list, category_id: in
 
 _INT, _STR, _LIST, _DICT = (frozenset((kind,)) for kind in (int, str, list, dict))
 _NUMBER = frozenset((int, float))
-_IMAGE_FIELDS = itemgetter("id", "width", "height", "file_name")
-_ANNOTATION_FIELDS = itemgetter("id", "image_id", "category_id", "bbox", "segmentation")
 
 
 def _typed(column, types: frozenset) -> bool:
@@ -404,15 +398,10 @@ def _typed(column, types: frozenset) -> bool:
     return set(map(type, column)) <= types
 
 
-def _columns(items: list, fields: itemgetter, width: int) -> Optional[tuple]:
-    """The named fields of a list of objects as tuples, or None when an
-    item is not a JSON object or lacks a field."""
-    if not _typed(items, _DICT):
-        return None
-    try:
-        return tuple(zip(*map(fields, items))) if items else ((),) * width
-    except KeyError:
-        return None
+def _column(items: list[dict], key: str, default=None) -> list:
+    """Each object's ``key``, or ``default`` where it has none; a missing
+    required field reads as None, which no type check admits."""
+    return list(map(dict.get, items, repeat(key), repeat(default)))
 
 
 def _bounded_floats(values: list) -> Optional[list[float]]:
@@ -429,25 +418,40 @@ def _bounded_floats(values: list) -> Optional[list[float]]:
     return floats
 
 
-def _boxes_and_array(raw_boxes) -> Optional[tuple[list[BBox], np.ndarray]]:
-    """The boxes and their ``n x 4`` array, or None unless each is a list
-    of 4 bounded numbers with ``w > 0`` and ``h > 0``."""
+def _referenced_images(image_ids: list, cats: list, images_by_id: dict[int, ImageRecord],
+                       category_id: int) -> Optional[list[ImageRecord]]:
+    """The image of each instance, or None unless each image id and
+    category is an exact int, each category is ``category_id`` and each
+    image id is known."""
+    if not (_typed(image_ids + cats, _INT) and set(cats) <= {category_id}):
+        return None
+    try:
+        return list(map(images_by_id.__getitem__, image_ids))
+    except KeyError:
+        return None
+
+
+def _boxes_in_images(raw_boxes: list, images: list[ImageRecord]
+                     ) -> Optional[tuple[list[BBox], list[int]]]:
+    """The boxes and the indices of those that overhang their image, or
+    None unless each box is a list of 4 bounded numbers with ``w > 0`` and
+    ``h > 0`` that reaches into its image (:func:`_check_box` and
+    :func:`_check_inside`, row by row)."""
     if not (_typed(raw_boxes, _LIST) and set(map(len, raw_boxes)) <= {4}):
         return None
     floats = _bounded_floats(list(chain.from_iterable(raw_boxes)))
     if floats is None:
         return None
-    xywh = np.array(floats).reshape(-1, 4)
-    if not (xywh[:, 2:] > 0).all():
+    x, y, w, h = np.array(floats).reshape(-1, 4).T
+    x2, y2 = x + w, y + h
+    width = np.array(list(map(attrgetter("width"), images)))
+    height = np.array(list(map(attrgetter("height"), images)))
+    if not (((w > 0) & (h > 0)).all()
+            and ((np.minimum(x2, width) > np.maximum(x, 0.0))
+                 & (np.minimum(y2, height) > np.maximum(y, 0.0))).all()):
         return None
-    return list(starmap(BBox, zip(*[iter(floats)] * 4))), xywh
-
-
-def _fully_outside(xywh: np.ndarray, width: np.ndarray, height: np.ndarray) -> np.ndarray:
-    """:func:`_check_inside`'s fully-outside test for each row of boxes."""
-    x, y, w, h = xywh.T
-    return ((np.minimum(x + w, width) <= np.maximum(x, 0.0))
-            | (np.minimum(y + h, height) <= np.maximum(y, 0.0)))
+    overhangs = np.flatnonzero((x < 0) | (y < 0) | (x2 > width) | (y2 > height)).tolist()
+    return list(starmap(BBox, zip(*[iter(floats)] * 4))), overhangs
 
 
 def _has_zero_area_ring(rings: list[tuple[float, ...]], coords: list[float]) -> bool:
@@ -475,35 +479,29 @@ def _ground_truth_columns(raw_images: list, raw_annotations: list, category_id: 
                           ) -> Optional[tuple[list[ImageRecord], list[GroundTruthInstance]]]:
     """:func:`_ground_truth_items`' result from whole-column checks, or
     None when any check fails."""
-    image_columns = _columns(raw_images, _IMAGE_FIELDS, 4)
-    ann_columns = _columns(raw_annotations, _ANNOTATION_FIELDS, 5)
-    if image_columns is None or ann_columns is None:
+    if not (_typed(raw_images, _DICT) and _typed(raw_annotations, _DICT)):
         return None
-    ids, widths, heights, names = image_columns
+    ids, widths, heights, names = (_column(raw_images, key)
+                                   for key in ("id", "width", "height", "file_name"))
     sides = widths + heights
     if not (_typed(ids + sides, _INT) and _typed(names, _STR)
             and len(set(ids)) == len(ids)
             and (not sides or 1 <= min(sides) and max(sides) <= MAX_IMAGE_SIDE)):
         return None
-    ann_ids, image_ids, cats, raw_boxes, raw_segs = ann_columns
-    if not (_typed(ann_ids + image_ids + cats, _INT) and set(cats) <= {category_id}
-            and len(set(ann_ids)) == len(ann_ids)):
+    images = list(map(ImageRecord, ids, widths, heights, names))
+    ann_ids, image_ids, cats = (_column(raw_annotations, key)
+                                for key in ("id", "image_id", "category_id"))
+    refs = _referenced_images(image_ids, cats, dict(zip(ids, images)), category_id)
+    if refs is None or not (_typed(ann_ids, _INT) and len(set(ann_ids)) == len(ann_ids)):
         return None
-    row_of = dict(zip(ids, range(len(ids))))
-    try:
-        rows = list(map(row_of.__getitem__, image_ids))
-    except KeyError:
+    # Ground truth may overhang its image, so the overhang indices go unused.
+    boxes = _boxes_in_images(_column(raw_annotations, "bbox"), refs)
+    if boxes is None:
         return None
-    boxes = _boxes_and_array(raw_boxes)
-    if boxes is None or _fully_outside(boxes[1], np.array(widths)[rows],
-                                       np.array(heights)[rows]).any():
-        return None
-
-    polys = _polygon_columns(raw_segs)
+    polys = _polygon_columns(_column(raw_annotations, "segmentation"))
     if polys is None:
         return None
-    return (list(map(ImageRecord, ids, widths, heights, names)),
-            list(map(GroundTruthInstance, ann_ids, image_ids, boxes[0], polys, cats)))
+    return images, list(map(GroundTruthInstance, ann_ids, image_ids, boxes[0], polys, cats))
 
 
 def _polygon_columns(raw_segs) -> Optional[list[PolygonSet]]:
@@ -549,6 +547,23 @@ def _payload(raw: dict, key: str, check, location: str):
     return check(raw[key], location)
 
 
+def payload_task(items: list, fallback: str) -> str:
+    """Task of the first result's payload; ``fallback`` when the list is
+    empty or its first entry carries neither payload."""
+    if items and isinstance(items[0], dict):
+        if "segmentation" in items[0]:
+            return SEGMENTATION
+        if "bbox" in items[0]:
+            return DETECTION
+    return fallback
+
+
+def _warn_overhang(report: ValidationReport, box: BBox, image: ImageRecord,
+                   location: str) -> None:
+    report.warn("BoxOutsideImage", f"box {box.as_list()} extends past "
+                f"the {image.width}x{image.height} image bounds", location)
+
+
 def _check_pixels(poly: PolygonSet, image: ImageRecord, location: str) -> None:
     if rasterize_runs(poly, image.width, image.height).rows.size == 0:
         raise DegeneratePayloadError("polygon rasterizes to zero pixels at image resolution",
@@ -582,8 +597,7 @@ def _parse_prediction_items(data, dataset: Dataset, task: str,
             box = report.check(_payload, raw, "bbox", _check_box, loc)
             if box is not None and image is not None and report.check(
                     _check_inside, box, image, loc):
-                report.warn("BoxOutsideImage", f"box {box.as_list()} extends past "
-                            f"the {image.width}x{image.height} image bounds", loc)
+                _warn_overhang(report, box, image, loc)
         else:
             poly = report.check(_payload, raw, "segmentation", _check_ring_list, loc)
             if poly is not None and image is not None:
@@ -604,51 +618,36 @@ def _prediction_columns(data: list, dataset: Dataset, task: str, report: Validat
     any check fails."""
     if not _typed(data, _DICT):
         return None
-    image_ids = list(map(dict.get, data, repeat("image_id")))
-    scores = list(map(dict.get, data, repeat("score")))
-    cats = list(map(dict.get, data, repeat("category_id"), repeat(dataset.category_id)))
-    if not (_typed(image_ids + cats, _INT) and set(cats) <= {dataset.category_id}
-            and _typed(scores, _NUMBER)):
+    image_ids = _column(data, "image_id")
+    images = _referenced_images(image_ids, _column(data, "category_id", dataset.category_id),
+                                dataset.images_by_id, dataset.category_id)
+    scores = _column(data, "score")
+    if images is None or not _typed(scores, _NUMBER):
         return None
     try:
         scores = list(map(float, scores))
-        images = list(map(dataset.images_by_id.__getitem__, image_ids))
-    except (OverflowError, KeyError):
+    except OverflowError:
         return None
     score = np.array(scores)
     if not ((score >= 0.0) & (score <= 1.0)).all():
         return None
     bboxes = polys = repeat(None)
+    overhangs: list[int] = []
     if task == DETECTION:
-        bboxes = _boxes_in_images(list(map(dict.get, data, repeat("bbox"))), images, report)
+        boxes = _boxes_in_images(_column(data, "bbox"), images)
+        if boxes is None:
+            return None
+        bboxes, overhangs = boxes
     else:
-        polys = _polygons_with_pixels(list(map(dict.get, data, repeat("segmentation"))),
-                                      images)
-    if bboxes is None or polys is None:
-        return None
+        polys = _polygons_with_pixels(_column(data, "segmentation"), images)
+        if polys is None:
+            return None
+    for k in overhangs:
+        _warn_overhang(report, bboxes[k], images[k], f"predictions[{k}]")
     report.instances_seen = len(data)
     report.images_seen = len(set(image_ids))
-    return list(map(PredictionInstance, image_ids, scores, cats, range(len(data)), bboxes, polys))
-
-
-def _boxes_in_images(raw_boxes: list, images: list[ImageRecord], report: ValidationReport
-                     ) -> Optional[list[BBox]]:
-    """The boxes, or None unless each is valid and reaches into its image;
-    the overhang warnings are written only when every box passes."""
-    boxes = _boxes_and_array(raw_boxes)
-    if boxes is None:
-        return None
-    bboxes, xywh = boxes
-    width = np.array(list(map(attrgetter("width"), images)))
-    height = np.array(list(map(attrgetter("height"), images)))
-    if _fully_outside(xywh, width, height).any():
-        return None
-    x, y, w, h = xywh.T
-    for k in np.flatnonzero((x < 0) | (y < 0) | (x + w > width) | (y + h > height)).tolist():
-        image = images[k]
-        report.warn("BoxOutsideImage", f"box {bboxes[k].as_list()} extends past "
-                    f"the {image.width}x{image.height} image bounds", f"predictions[{k}]")
-    return bboxes
+    return list(map(PredictionInstance, image_ids, scores, repeat(dataset.category_id),
+                    range(len(data)), bboxes, polys))
 
 
 def _polygons_with_pixels(raw_segs: list, images: list[ImageRecord]

@@ -38,18 +38,24 @@ def _hull(ring: list[float]) -> list[float]:
     return [min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys)]
 
 
+def _clamp_shift(values: list[float], side: int) -> float:
+    """The grid shift that brings ``values`` within ``[0.5, side - 0.5]``,
+    or, when they span more than that, brings their mean within it."""
+    shift = 0.0
+    if min(values) < 0.5:
+        shift = _snap(0.5 - min(values))
+    elif max(values) > side - 0.5:
+        shift = _snap(side - 0.5 - max(values))
+    mean = sum(values) / len(values) + shift
+    return shift + _snap(min(max(mean, 0.5), side - 0.5) - mean)
+
+
 def _clamp_ring(ring: list[float], width: int, height: int) -> list[float]:
-    """Translate a ring so it lies inside the image with a small margin."""
+    """Translate a ring so it lies inside the image with a small margin.
+    A ring more than twice the image's size may not fit that way; its
+    centre then stays over the image, so it still covers a pixel."""
     xs, ys = ring[0::2], ring[1::2]
-    dx = dy = 0.0
-    if min(xs) < 0.5:
-        dx = _snap(0.5 - min(xs))
-    elif max(xs) > width - 0.5:
-        dx = _snap(width - 0.5 - max(xs))
-    if min(ys) < 0.5:
-        dy = _snap(0.5 - min(ys))
-    elif max(ys) > height - 0.5:
-        dy = _snap(height - 0.5 - max(ys))
+    dx, dy = _clamp_shift(xs, width), _clamp_shift(ys, height)
     out = []
     for x, y in zip(xs, ys):
         out.extend((_snap(x + dx), _snap(y + dy)))
@@ -63,7 +69,10 @@ def _perturb_ring(ring: list[float], amount: float, rng: random.Random,
     span = max(max(xs) - min(xs), max(ys) - min(ys))
     dx = rng.uniform(-amount, amount) * span
     dy = rng.uniform(-amount, amount) * span
-    scale = 1.0 + rng.uniform(-amount, amount)
+    # Sides of at least 2 px keep a pixel centre inside the snapped ring.
+    points = list(zip(xs, ys))
+    shortest = min(map(math.dist, points, points[1:] + points[:1]))
+    scale = max(1.0 + rng.uniform(-amount, amount), 2.0 / shortest)
     out = []
     for x, y in zip(xs, ys):
         out.extend((_snap(cx + (x - cx) * scale + dx),
@@ -73,27 +82,37 @@ def _perturb_ring(ring: list[float], amount: float, rng: random.Random,
 
 def generate_fixture(seed: int, n_images: int = 8, max_instances: int = 4,
                      perturbation: float = 0.15, min_size: int = 64,
-                     max_size: int = 128,
-                     category_name: str = "rip_current") -> dict:
+                     max_size: int = 128) -> dict:
     """Build one synthetic fixture.
 
     Returns a dict with keys ``gt`` (COCO ground-truth object), ``det``
     and ``seg`` (prediction result lists for the two tasks).  Output is a
-    pure function of the arguments.
+    pure function of the arguments.  Its arguments need ``n_images >= 0``,
+    ``max_instances >= 0``, a finite ``perturbation >= 0`` and
+    ``8 <= min_size <= max_size``; within that domain both prediction
+    lists pass strict validation against the ground truth.
     """
     for name, count in (("n_images", n_images), ("max_instances", max_instances)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
     if not (math.isfinite(perturbation) and perturbation >= 0):
         raise ValueError(f"perturbation must be a finite number >= 0, got {perturbation}")
-    if not 1 <= min_size <= max_size:
-        raise ValueError(f"sizes must satisfy 1 <= min_size <= max_size, "
+    # Smaller images cannot hold the 8 px instances drawn below.
+    if not 8 <= min_size <= max_size:
+        raise ValueError(f"sizes must satisfy 8 <= min_size <= max_size, "
                          f"got {min_size} and {max_size}")
     rng = random.Random(seed)
     images = []
     annotations = []
     det_preds: list[dict] = []
     seg_preds: list[dict] = []
+
+    def predict(image_id: int, score: float, ring: list[float]) -> None:
+        seg_preds.append({"image_id": image_id, "category_id": 1, "score": score,
+                          "segmentation": [ring]})
+        det_preds.append({"image_id": image_id, "category_id": 1, "score": score,
+                          "bbox": _hull(ring)})
+
     ann_id = 1
     for image_id in range(1, n_images + 1):
         width = rng.randrange(min_size, max_size + 1, 8)
@@ -134,18 +153,7 @@ def generate_fixture(seed: int, n_images: int = 8, max_instances: int = 4,
                     continue  # missed instance -> false negative
                 score = round(rng.uniform(0.30, 0.99), 4)
                 pred_ring = _perturb_ring(ring, perturbation, rng, width, height)
-            seg_preds.append({
-                "image_id": image_id,
-                "category_id": 1,
-                "score": score,
-                "segmentation": [pred_ring],
-            })
-            det_preds.append({
-                "image_id": image_id,
-                "category_id": 1,
-                "score": score,
-                "bbox": _hull(pred_ring),
-            })
+            predict(image_id, score, pred_ring)
 
         if perturbation > 0:
             for _ in range(rng.choice((0, 0, 1, 2))):
@@ -154,23 +162,12 @@ def generate_fixture(seed: int, n_images: int = 8, max_instances: int = 4,
                 fx = _snap(rng.uniform(1, width - fw - 1))
                 fy = _snap(rng.uniform(1, height - fh - 1))
                 score = round(rng.uniform(0.05, 0.6), 4)
-                ring = _rect_ring(fx, fy, fw, fh)
-                seg_preds.append({
-                    "image_id": image_id,
-                    "category_id": 1,
-                    "score": score,
-                    "segmentation": [ring],
-                })
-                det_preds.append({
-                    "image_id": image_id,
-                    "category_id": 1,
-                    "score": score,
-                    "bbox": [fx, fy, fw, fh],
-                })
+                # On the quarter grid the hull of this ring is [fx, fy, fw, fh].
+                predict(image_id, score, _rect_ring(fx, fy, fw, fh))
 
     gt = {
         "images": images,
         "annotations": annotations,
-        "categories": [{"id": 1, "name": category_name}],
+        "categories": [{"id": 1, "name": "rip_current"}],
     }
     return {"gt": gt, "det": det_preds, "seg": seg_preds}

@@ -68,10 +68,6 @@ class PolygonSet:
 
     rings: tuple[tuple[float, ...], ...]
 
-    @classmethod
-    def from_lists(cls, rings: Iterable[Ring]) -> "PolygonSet":
-        return cls(tuple(tuple(float(v) for v in ring) for ring in rings))
-
     def as_lists(self) -> list[list[float]]:
         return [list(ring) for ring in self.rings]
 

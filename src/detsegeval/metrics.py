@@ -160,6 +160,15 @@ def _markdown_cell(text: str) -> str:
     return text.replace("|", "\\|")
 
 
+def _score_cells(report: MetricsReport) -> list[str]:
+    """The four headline metrics and the final score, as table cells."""
+    return [f"{value:.2f}" for value in (*report.headline(), report.final)]
+
+
+def _markdown_row(cells: Sequence) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
 @dataclass
 class ThresholdMetrics:
     threshold: float
@@ -216,8 +225,7 @@ class MetricsReport:
         header = (f"| Name | F1[{pct:.0f}] | F1[range] | F2[{pct:.0f}] | F2[range] "
                   "| Final Score |")
         rule = "|---|---|---|---|---|---|"
-        row = (f"| {_markdown_cell(name)} | {self.f1_headline:.2f} | {self.f1_range:.2f} "
-               f"| {self.f2_headline:.2f} | {self.f2_range:.2f} | {self.final:.2f} |")
+        row = _markdown_row([_markdown_cell(name), *_score_cells(self)])
         return "\n".join([header, rule, row]) + "\n"
 
 
@@ -271,50 +279,32 @@ def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
     )
 
 
-@dataclass
-class LeaderboardRow:
-    rank: int
-    name: str
-    f1: float
-    f1_range: float
-    f2: float
-    f2_range: float
-    final: float
-
-
-def leaderboard(entries: Sequence[tuple[str, MetricsReport]]) -> list[LeaderboardRow]:
-    """Rank named reports by final score, ties by F2 over the threshold
-    range (recall emphasis), then by name."""
+def leaderboard(entries: Sequence[tuple[str, MetricsReport]]
+                ) -> list[tuple[str, MetricsReport]]:
+    """The named reports ranked by final score, ties by F2 over the
+    threshold range (recall emphasis), then by name; rank k is the pair
+    at position k - 1."""
     if not entries:
         raise EmptyInputError("leaderboard needs at least one report")
-    ordered = sorted(entries, key=lambda e: (-e[1].final, -e[1].f2_range, e[0]))
-    return [
-        LeaderboardRow(rank, name, r.f1_headline, r.f1_range,
-                       r.f2_headline, r.f2_range, r.final)
-        for rank, (name, r) in enumerate(ordered, start=1)
-    ]
+    return sorted(entries, key=lambda e: (-e[1].final, -e[1].f2_range, e[0]))
 
 
-def leaderboard_markdown(rows: Sequence[LeaderboardRow]) -> str:
+def leaderboard_markdown(ranked: Sequence[tuple[str, MetricsReport]]) -> str:
     pct = HEADLINE_THRESHOLD * 100
     lines = [
         f"| Rank | Team Name | F1[{pct:.0f}] | F1[range] "
         f"| F2[{pct:.0f}] | F2[range] | Final Score |",
         "|---|---|---|---|---|---|---|",
     ]
-    for r in rows:
-        lines.append(
-            f"| {r.rank} | {_markdown_cell(r.name)} | {r.f1:.2f} | {r.f1_range:.2f} "
-            f"| {r.f2:.2f} | {r.f2_range:.2f} | {r.final:.2f} |"
-        )
+    for rank, (name, report) in enumerate(ranked, start=1):
+        lines.append(_markdown_row([rank, _markdown_cell(name), *_score_cells(report)]))
     return "\n".join(lines) + "\n"
 
 
-def leaderboard_csv(rows: Sequence[LeaderboardRow]) -> str:
+def leaderboard_csv(ranked: Sequence[tuple[str, MetricsReport]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "name", "f1", "f1_range", "f2", "f2_range", "final_score"])
-    for r in rows:
-        writer.writerow([r.rank, r.name, f"{r.f1:.2f}", f"{r.f1_range:.2f}",
-                         f"{r.f2:.2f}", f"{r.f2_range:.2f}", f"{r.final:.2f}"])
+    for rank, (name, report) in enumerate(ranked, start=1):
+        writer.writerow([rank, name, *_score_cells(report)])
     return out.getvalue()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detsegeval.geometry import RunMask
+from detsegeval.geometry import PolygonSet, RunMask
 
 sys.path.insert(0, str(Path(__file__).parent))  # for reference_impl
 
@@ -40,6 +40,12 @@ def run_mask(mask) -> RunMask:
     rows, starts = np.nonzero(steps == 1)
     ends = np.nonzero(steps == -1)[1]
     return RunMask(width, height, rows, starts, ends)
+
+
+def polygon_set(rings) -> PolygonSet:
+    """The polygon set of flat ``[x1, y1, x2, y2, ...]`` rings, with every
+    coordinate as a float."""
+    return PolygonSet(tuple(tuple(float(v) for v in ring) for ring in rings))
 
 
 def make_gt(images, annotations, category=(1, "rip_current")):

@@ -30,7 +30,7 @@ from detsegeval.fusion import (
     refine_segmentation,
     weighted_box_fusion,
 )
-from detsegeval.geometry import BBox, PolygonSet, box_iou, mask_iou, rasterize, rasterize_runs
+from detsegeval.geometry import BBox, box_iou, mask_iou, rasterize, rasterize_runs
 from detsegeval.metrics import (
     ConfusionCounts,
     evaluate,
@@ -38,7 +38,7 @@ from detsegeval.metrics import (
     final_score,
     match_image,
 )
-from conftest import write_json_file
+from conftest import polygon_set, write_json_file
 import reference_impl as ref
 
 TOL = 0.005 + 1e-9  # inclusive 2-decimal rounding bound with float guard
@@ -182,7 +182,7 @@ def test_criterion_3_geometry_matches_oracles():
     rng = random.Random(314)
     for _ in range(100):  # rasterization vs exhaustive point-in-polygon
         ring = _star_ring(rng)
-        mask = rasterize(PolygonSet.from_lists([ring]), 64, 64)
+        mask = rasterize(polygon_set([ring]), 64, 64)
         for row in range(64):
             for col in range(64):
                 assert bool(mask[row, col]) == ref.point_in_ring(col + 0.5, row + 0.5, ring)
@@ -193,10 +193,10 @@ def test_criterion_3_geometry_matches_oracles():
                  rng.uniform(2, 20), rng.uniform(2, 20))
         scale = 8
         grid = 64 * scale
-        ra = rasterize_runs(PolygonSet.from_lists(
+        ra = rasterize_runs(polygon_set(
             [[v * scale for v in (a.x, a.y, a.x2, a.y, a.x2, a.y2, a.x, a.y2)]]),
             grid, grid)
-        rb = rasterize_runs(PolygonSet.from_lists(
+        rb = rasterize_runs(polygon_set(
             [[v * scale for v in (b.x, b.y, b.x2, b.y, b.x2, b.y2, b.x, b.y2)]]),
             grid, grid)
         assert abs(box_iou(a, b) - mask_iou(ra, rb)) <= 0.01
@@ -221,7 +221,7 @@ def test_criterion_4_matching_properties():
             w, h = rng.uniform(5, 30), rng.uniform(5, 30)
             gts.append(GroundTruthInstance(
                 j + 1, 1, BBox(x, y, w, h),
-                PolygonSet.from_lists([[x, y, x + w, y, x + w, y + h, x, y + h]]), 1))
+                polygon_set([[x, y, x + w, y, x + w, y + h, x, y + h]]), 1))
         preds = []
         for i in range(n_pred):
             x, y = rng.uniform(0, 60), rng.uniform(0, 60)
@@ -277,7 +277,7 @@ def test_criterion_6_fusion_constants():
     params = FusionParams()
 
     # score fusion: matched path and penalty path
-    seg = PolygonSet.from_lists([[0, 0, 10, 0, 10, 10, 0, 10]])
+    seg = polygon_set([[0, 0, 10, 0, 10, 10, 0, 10]])
     fused = fuse_seg_det_scores([(seg, 0.5)], [(BBox(0, 0, 10, 30), 0.9)], params)
     assert fused[0][1] == pytest.approx(0.85 * 0.5 + 0.15 * 0.9) == pytest.approx(0.56)
     penalized = fuse_seg_det_scores([(seg, 0.4)], [(BBox(30, 30, 20, 20), 0.9)], params)
@@ -294,10 +294,10 @@ def test_criterion_6_fusion_constants():
     assert len(average_mask_ensemble([m100], params)) == 1
 
     # refinement area floor: 23 px dropped, 24 px kept
-    poly23 = PolygonSet.from_lists([[2, 2, 25, 2, 25, 3, 2, 3]])
+    poly23 = polygon_set([[2, 2, 25, 2, 25, 3, 2, 3]])
     assert int(rasterize(poly23, 64, 64).sum()) == 23
     assert refine_segmentation(poly23, 64, 64, params) is None
-    poly24 = PolygonSet.from_lists([[2, 2, 26, 2, 26, 3, 2, 3]])
+    poly24 = polygon_set([[2, 2, 26, 2, 26, 3, 2, 3]])
     assert int(rasterize(poly24, 64, 64).sum()) == 24
     assert refine_segmentation(poly24, 64, 64, params) is not None
 
@@ -316,7 +316,7 @@ def test_criterion_7_idempotence_and_closure(tmp_path):
     for seed in range(20):
         fx = generate_fixture(seed=8000 + seed, n_images=2, max_instances=3)
         for ann in fx["gt"]["annotations"]:
-            poly = PolygonSet.from_lists(ann["segmentation"])
+            poly = polygon_set(ann["segmentation"])
             first = refine_segmentation(poly, 128, 128, params)
             if first is None:
                 continue

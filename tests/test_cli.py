@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import detsegeval
 from detsegeval.cli import main
+from detsegeval.coco import load_ground_truth, parse_predictions
 from detsegeval.fixtures import generate_fixture
 from detsegeval.fusion import PRESETS
 from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
@@ -49,6 +52,19 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("args,code,stdout", [
+    (["--version"], 0, detsegeval.__version__),
+    (["validate", "gt.json", "gt.json"], 2, ""),  # an object where the array belongs
+], ids=["version", "main-exit-code"])
+def test_module_entry_point_exit_code(workspace, args, code, stdout):
+    root = workspace[0]
+    src = str(Path(detsegeval.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "detsegeval.cli", *args], cwd=root,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (code, stdout)
 
 
 class TestValidate:
@@ -593,15 +609,27 @@ class TestGenFixture:
         assert f"configuration error: {name} must be" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
-    @pytest.mark.parametrize("min_size,max_size", [(0, 8), (64, 32)])
+    @pytest.mark.parametrize("min_size,max_size", [(0, 8), (7, 16), (64, 32)])
     def test_bad_size_range_rejected(self, min_size, max_size):
-        with pytest.raises(ValueError, match="1 <= min_size <= max_size"):
+        with pytest.raises(ValueError, match="8 <= min_size <= max_size"):
             generate_fixture(1, min_size=min_size, max_size=max_size)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), min_size=st.integers(8, 48),
+           extra=st.integers(0, 48), perturbation=st.floats(0, 5))
+    @example(seed=1, min_size=64, extra=64, perturbation=1.0)  # gen-fixture's sizes
+    def test_output_always_validates(self, tmp_path_factory, seed, min_size, extra,
+                                     perturbation):
+        fx = generate_fixture(seed, perturbation=perturbation, min_size=min_size,
+                              max_size=min_size + extra)
+        ds = load_ground_truth(write_json_file(
+            tmp_path_factory.getbasetemp() / "property_gt.json", fx["gt"]))
+        for task, key in (("detection", "det"), ("segmentation", "seg")):
+            assert parse_predictions(fx[key], ds, task)[1].errors == []
 
     def test_size_zero_valid_empty_dataset(self, tmp_path):
         assert run(["gen-fixture", "--seed", 1, "--images", 0,
                     "--out", tmp_path / "z"]) == 0
-        from detsegeval.coco import load_ground_truth
         ds = load_ground_truth(tmp_path / "z" / "gt.json")
         assert len(ds.images) == 0 and len(ds.instances) == 0
 

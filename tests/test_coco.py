@@ -239,7 +239,7 @@ class TestLoadPredictions:
         ds = load_ground_truth(tiny_gt_path)
         item = det_pred(1.0, 1, [10, 10, 20, 20], category_id=1.0)
         [kept], report = parse_predictions([item], ds, "detection")
-        assert report.ok
+        assert not report.errors
         assert (kept.image_id, kept.score, kept.category_id) == (1, 1.0, 1)
 
     def test_score_out_of_range(self, tiny_gt_path, tmp_path):
@@ -258,6 +258,12 @@ class TestLoadPredictions:
         with pytest.raises(SubmissionError) as exc:
             load_predictions(path, ds, "detection")
         assert any(e.code == "ScoreOutOfRange" for e in exc.value.report.errors)
+
+    def test_score_beyond_float_range_is_not_a_number(self, tiny_gt_path):
+        ds = load_ground_truth(tiny_gt_path)
+        _, report = parse_predictions([det_pred(1, 10 ** 400, [1, 1, 5, 5])], ds, "detection")
+        assert [(e.code, e.message) for e in report.errors] == \
+               [("MalformedJson", f"score {10 ** 400} is not a number")]
 
     def test_score_zero_allowed(self, tiny_gt_path, tmp_path):
         ds = load_ground_truth(tiny_gt_path)
@@ -433,6 +439,10 @@ class TestContainers:
         with pytest.raises(ValueError):
             PredictionSet("boxes", [])
 
+    def test_parse_predictions_rejects_bad_task(self, tiny_gt_path):
+        with pytest.raises(ValueError, match="task must be one of"):
+            parse_predictions([], load_ground_truth(tiny_gt_path), "boxes")
+
     def test_dataset_lookup(self, tiny_gt_path):
         ds = load_ground_truth(tiny_gt_path)
         assert ds.images_by_id[1].width == 100
@@ -459,6 +469,11 @@ class TestLoaderMessages:
         with pytest.raises(MalformedJsonError,
                            match=re.escape("categories[0]: id true is not a number")):
             load_ground_truth(path)
+
+    def test_value_json_cannot_encode_is_quoted_by_repr(self, tiny_gt_path):
+        ds = load_ground_truth(tiny_gt_path)
+        _, report = parse_predictions([det_pred(1, 0.5, {4})], ds, "detection")
+        assert [e.message for e in report.errors] == ["bbox must be 4 finite numbers, got {4}"]
 
     @pytest.mark.parametrize("file_name", [[1], 7, None, {"a": 1}])
     def test_file_name_must_be_a_string(self, tmp_path, file_name):

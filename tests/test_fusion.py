@@ -50,6 +50,7 @@ from conftest import (
     det_pred,
     image,
     make_gt,
+    polygon_set,
     seg_pred,
     traced_peak_bytes,
     write_json_file,
@@ -60,7 +61,7 @@ P = FusionParams()
 
 
 def rect(x, y, w, h):
-    return PolygonSet.from_lists([[x, y, x + w, y, x + w, y + h, x, y + h]])
+    return polygon_set([[x, y, x + w, y, x + w, y + h, x, y + h]])
 
 
 class TestFusionParams:
@@ -220,7 +221,7 @@ class TestRefineSegmentation:
 
     def test_small_blob_removed_large_kept(self):
         # 23 px blob is below the floor; 600 px blob survives
-        poly = PolygonSet.from_lists([
+        poly = polygon_set([
             [2, 2, 25, 2, 25, 3, 2, 3],       # 23 x 1 = 23 px
             [10, 20, 40, 20, 40, 40, 10, 40],  # 600 px
         ])
@@ -249,7 +250,7 @@ class TestRefineSegmentation:
 
     def test_many_ring_polygon_memory_is_bounded(self):
         # 27 x 27 disjoint 5 x 5 squares: one valid prediction with 729 rings
-        poly = PolygonSet.from_lists([[x, y, x + 5, y, x + 5, y + 5, x, y + 5]
+        poly = polygon_set([[x, y, x + 5, y, x + 5, y + 5, x, y + 5]
                                       for x in range(0, 297, 11) for y in range(0, 297, 11)])
         out = []
         peak = traced_peak_bytes(lambda: out.append(refine_segmentation(poly, 300, 300, P)))
@@ -299,6 +300,10 @@ class TestAverageMaskEnsemble:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             average_mask_ensemble([np.zeros((4, 4)), np.zeros((5, 4))], P)
+
+    def test_no_masks(self):
+        with pytest.raises(DimensionMismatchError, match="need at least one mask"):
+            average_mask_ensemble([], P)
 
 
 class TestMergeBoxesIouIoa:
@@ -687,7 +692,7 @@ def _window_case(draw):
                     n = int(rng.integers(3, 8))
                     xs = rng.integers(-2, w + 3, n) + rng.integers(0, 4, n) / 4
                     ys = rng.integers(-2, h + 3, n) + rng.integers(0, 4, n) / 4
-                    polys.append(PolygonSet.from_lists(
+                    polys.append(polygon_set(
                         [[float(v) for xy in zip(xs, ys) for v in xy]]))
             per_image.append(polys)
         models.append(per_image)

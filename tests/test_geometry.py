@@ -40,13 +40,13 @@ from detsegeval.geometry import (
     trace_largest_contour,
 )
 from detsegeval.geometry import _rdp_chain, _trace_outer_ring
-from conftest import run_mask, traced_peak_bytes
+from conftest import polygon_set, run_mask, traced_peak_bytes
 import reference_impl as ref
 from reference_impl import pixel_iou, point_in_ring, polygon_pixels
 
 
 def poly(*rings):
-    return PolygonSet.from_lists(rings)
+    return polygon_set(rings)
 
 
 def box_ioa(a, b):
@@ -96,6 +96,10 @@ class TestPolygonToBBox:
     def test_degenerate(self):
         with pytest.raises(DegenerateRingError):
             polygon_to_bbox(PolygonSet(()))
+
+    def test_collinear_ring_has_no_extent(self):
+        with pytest.raises(DegenerateRingError, match="zero extent"):
+            polygon_to_bbox(poly([0, 2, 3, 2, 7, 2]))
 
 
 class TestRasterize:
@@ -367,6 +371,10 @@ class TestBoxOverlap:
 
     def test_touching(self):
         assert box_iou(BBox(0, 0, 1, 1), BBox(1, 0, 1, 1)) == 0.0
+
+    def test_underflowing_areas(self):
+        tiny = BBox(0, 0, 1e-200, 1e-200)
+        assert box_iou(tiny, tiny) == 0.0
 
     def test_ioa_contained(self):
         assert box_ioa(BBox(0, 0, 10, 10), BBox(2, 2, 3, 3)) == 1.0
@@ -818,6 +826,10 @@ class TestSimplifyPolygon:
                 for i in range(len(out_pts))
             )
             assert d <= eps + 1e-9
+
+    def test_negative_ratio_rejected(self):
+        with pytest.raises(ValueError, match="epsilon_ratio must be >= 0"):
+            simplify_polygon([0, 0, 4, 0, 4, 4], -0.01)
 
     def test_collapse_raises(self):
         # near-degenerate sliver collapses below 3 vertices at huge epsilon

@@ -31,7 +31,15 @@ from detsegeval.metrics import (
     leaderboard_csv,
     match_image,
 )
-from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
+from conftest import (
+    annotation,
+    det_pred,
+    image,
+    make_gt,
+    polygon_set,
+    seg_pred,
+    write_json_file,
+)
 import reference_impl as ref
 
 
@@ -48,11 +56,10 @@ def _img(width=100, height=100):
 
 def _gt(gt_id, bbox):
     from detsegeval.coco import GroundTruthInstance
-    from detsegeval.geometry import PolygonSet
     x, y, w, h = bbox
     return GroundTruthInstance(
         gt_id, 1, BBox(x, y, w, h),
-        PolygonSet.from_lists([[x, y, x + w, y, x + w, y + h, x, y + h]]), 1)
+        polygon_set([[x, y, x + w, y, x + w, y + h, x, y + h]]), 1)
 
 
 def _pred(score, bbox, idx=0):
@@ -77,17 +84,15 @@ class TestIouForTask:
         assert m.pairs == [(0, 1, 1.0)]
 
     def test_segmentation_identical(self):
-        from detsegeval.geometry import PolygonSet
         ring = [10, 10, 30, 10, 30, 30, 10, 30]
         p = PredictionInstance(1, 0.9, 1, 0,
-                               segmentation=PolygonSet.from_lists([ring]))
+                               segmentation=polygon_set([ring]))
         m = match_image([p], [_gt(1, [10, 10, 20, 20])], 0.5, "segmentation", _img())
         assert m.pairs == [(0, 1, 1.0)]
 
     def test_segmentation_half(self):
-        from detsegeval.geometry import PolygonSet
         p = PredictionInstance(1, 0.9, 1, 0,
-                               segmentation=PolygonSet.from_lists(
+                               segmentation=polygon_set(
                                    [[10, 10, 20, 10, 20, 30, 10, 30]]))
         m = match_image([p], [_gt(1, [10, 10, 20, 20])], 0.5, "segmentation", _img())
         assert m.pairs == [(0, 1, 0.5)]
@@ -455,7 +460,7 @@ def _seg_report(tmp_path, width, height, x0, y0):
     items = [seg_pred(1, 0.9 - 0.1 * k, _square(x0 + 20 * k + k, y0 + k, 10))
              for k in range(3)]
     retained, report = parse_predictions(items, ds, "segmentation")
-    assert report.ok
+    assert not report.errors
     return evaluate(ds, PredictionSet("segmentation", retained))
 
 
@@ -473,7 +478,7 @@ class TestLargeFrames:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.ok and result.per_threshold[-1].counts.tp == 1
+        assert not report.errors and result.per_threshold[-1].counts.tp == 1
         assert peak < 16 * 2 ** 20
 
     def test_frames_past_int64_pixel_indices_score_exactly(self, tmp_path):
@@ -515,25 +520,25 @@ def _report(f1, f1r, f2, f2r):
 
 class TestLeaderboard:
     def test_single_row(self):
-        rows = leaderboard([("solo", _report(50, 40, 50, 40))])
-        assert rows[0].rank == 1 and rows[0].name == "solo"
+        solo = _report(50, 40, 50, 40)
+        assert leaderboard([("solo", solo)]) == [("solo", solo)]
 
     def test_published_order(self):
         # top two segmentation rows keep their published order
-        rows = leaderboard([
+        ranked = leaderboard([
             ("Riposte", _report(67.55, 41.92, 61.26, 38.02)),
             ("UNO Pixel Pros", _report(69.26, 41.25, 70.61, 42.06)),
         ])
-        assert [r.name for r in rows] == ["UNO Pixel Pros", "Riposte"]
-        assert rows[0].final == pytest.approx(55.79, abs=0.005 + 1e-9)
-        assert rows[1].final == pytest.approx(52.19, abs=0.005 + 1e-9)
+        assert [name for name, _ in ranked] == ["UNO Pixel Pros", "Riposte"]
+        assert ranked[0][1].final == pytest.approx(55.79, abs=0.005 + 1e-9)
+        assert ranked[1][1].final == pytest.approx(52.19, abs=0.005 + 1e-9)
 
     def test_tie_broken_by_f2_range(self):
-        rows = leaderboard([
+        ranked = leaderboard([
             ("low", _report(60, 40, 58, 38.0)),
             ("high", _report(60, 36, 58, 42.0)),
         ])
-        assert rows[0].name == "high"
+        assert [name for name, _ in ranked] == ["high", "low"]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
@@ -541,9 +546,9 @@ class TestLeaderboard:
 
     def test_csv_quotes_names_with_commas_and_quotes(self):
         names = ["team, inc", 'the "best"', "plain"]
-        rows = leaderboard([(n, _report(80 - 10 * k, 40, 70, 40))
-                            for k, n in enumerate(names)])
-        text = leaderboard_csv(rows)
+        ranked = leaderboard([(n, _report(80 - 10 * k, 40, 70, 40))
+                              for k, n in enumerate(names)])
+        text = leaderboard_csv(ranked)
         assert text == (
             "rank,name,f1,f1_range,f2,f2_range,final_score\n"
             '1,"team, inc",80.00,40.00,70.00,40.00,57.50\n'
