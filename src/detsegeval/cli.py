@@ -135,7 +135,10 @@ def _resolve_preset(args) -> tuple[str, object]:
     overrides: dict = {}
     if name.endswith(".json") and Path(name).exists():
         with open(name, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+                raise ValueError(f"{name}: {exc}") from exc
         if not (isinstance(config, dict) and isinstance(config.get("params", {}), dict)):
             raise ValueError(f"{name}: a preset config must be a JSON object whose "
                              "'params' is an object")

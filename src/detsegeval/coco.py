@@ -178,7 +178,8 @@ def _read_json(path) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # bad syntax, bad UTF-8, an over-long integer literal
+    # bad syntax, bad UTF-8, an over-long integer literal, nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise MalformedJsonError(str(exc), str(path)) from exc
 
 
@@ -326,14 +327,13 @@ def load_ground_truth(path) -> Dataset:
     raw_images = _require(data, "images", str(path))
     raw_annotations = _require(data, "annotations", str(path))
     raw_categories = _require(data, "categories", str(path))
-    if not (isinstance(raw_images, list) and isinstance(raw_annotations, list)):
-        raise MalformedJsonError("images and annotations must be JSON arrays", str(path))
+    if not all(isinstance(v, list) for v in (raw_images, raw_annotations, raw_categories)):
+        raise MalformedJsonError("images, annotations and categories must be JSON arrays",
+                                 str(path))
 
-    if not isinstance(raw_categories, list) or len(raw_categories) != 1:
+    if len(raw_categories) != 1:
         raise MultipleCategoriesError(
-            "expected exactly one category, found "
-            f"{len(raw_categories) if isinstance(raw_categories, list) else 'non-list'}",
-            str(path))
+            f"expected exactly one category, found {len(raw_categories)}", str(path))
     category = _require_object(raw_categories[0], "categories[0]")
     category_id = _require_int(category, "id", "categories[0]")
     category_name = str(category.get("name", ""))

@@ -13,8 +13,9 @@ columnar pass.
 
 The named pipeline presets compose these operations over whole
 prediction sets; the table ``_PRESETS`` defines each of them.  A
-pipeline sees the whole run at once, each model's instances on every
-image, and gives every image's fused pairs.
+pipeline sees the whole run at once, each model's scored pairs on every
+image, and gives every image's fused pairs; ``run_preset`` alone converts
+prediction instances to pairs and back.
 """
 
 from __future__ import annotations
@@ -109,15 +110,16 @@ class FusionParams:
         if not math.isclose(self.w_seg + self.w_det, 1.0, abs_tol=1e-9):
             raise ValueError("w_seg + w_det must equal 1")
         for name in ("iou_gate", "penalty", "wbf_iou", "seg_conf", "det_conf",
-                     "merge_iou", "merge_ioa", "cross_iou", "keep_conf", "guide_iou",
-                     "overlap_gate"):
+                     "keep_conf", "guide_iou", "overlap_gate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        # At 0 every pixel passes, so uno would emit a frame-sized instance per image.
-        if not (0.0 < self.ensemble_threshold <= 1.0):
-            raise ValueError("ensemble_threshold must lie in (0, 1], "
-                             f"got {self.ensemble_threshold}")
+        # The merge stages take (0, 1].  At ensemble_threshold 0 every pixel
+        # passes, so uno would emit a frame-sized instance per image.
+        for name in ("merge_iou", "merge_ioa", "cross_iou", "ensemble_threshold"):
+            v = getattr(self, name)
+            if not (0.0 < v <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {v}")
         if self.min_region_area < 0 or self.ensemble_min_area < 0:
             raise ValueError("area floors must be >= 0")
         if self.eps_ratio < 0:
@@ -394,30 +396,21 @@ def _check_same_shape(masks: Sequence[np.ndarray]) -> None:
 
 # --- pipeline presets ----------------------------------------------------------
 
-def _boxes_of(instances: Sequence[PredictionInstance]) -> list[ScoredBox]:
-    return [(p.bbox, p.score) for p in instances]
-
-
-def _polys_of(instances: Sequence[PredictionInstance]) -> list[ScoredPoly]:
-    return [(p.segmentation, p.score) for p in instances]
-
-
 def _derived_boxes(polys: Sequence[ScoredPoly]) -> list[ScoredBox]:
     return [(polygon_to_bbox(poly), score) for poly, score in polys]
 
 
-def _semantic_maps(models: Sequence[Sequence[PredictionInstance]], width: int, height: int
+def _semantic_maps(models: Sequence[Sequence[ScoredPoly]], width: int, height: int
                    ) -> Optional[tuple[list[np.ndarray], int, int]]:
-    """Each model's union of instance masks as a bool map, all on one
+    """Each model's union of polygon masks as a bool map, all on one
     window of the ``height x width`` frame, with the window's top-left
     pixel ``(x0, y0)``; None when no model sets a pixel.
 
     The window is the union of every model's foreground windows, so each
     pixel outside it is 0 in every map and in every mean and maximum of
     the maps, below every threshold ``FusionParams`` accepts."""
-    masks = rasterize_runs_many((inst.segmentation, width, height)
-                                for insts in models for inst in insts)
-    runs = [list(islice(masks, len(insts))) for insts in models]
+    masks = rasterize_runs_many((poly, width, height) for polys in models for poly, _ in polys)
+    runs = [list(islice(masks, len(polys))) for polys in models]
     hit = [r for rs in runs for r in rs if r.rows.size]
     if not hit:
         return None
@@ -436,20 +429,20 @@ def _to_frame(payload: PolygonSet | BBox, x0: int, y0: int) -> PolygonSet | BBox
 
 
 # Each pipeline takes a whole run: ``dets[k][i]`` holds detection input
-# k's instances on ``images[i]``, ``segs`` likewise, and it gives each
-# image's fused ``(payload, score)`` pairs in image order.  kmg batches
-# its box merging across the run; the other pipelines run one image at
-# a time.
+# k's ``(BBox, score)`` pairs on ``images[i]``, ``segs[k][i]`` segmentation
+# input k's ``(PolygonSet, score)`` pairs, and it gives each image's fused
+# ``(payload, score)`` pairs in image order.  kmg batches its box merging
+# across the run; the other pipelines run one image at a time.
 
 def _by_image(models, n: int) -> list[tuple]:
     """``models[k][i]`` regrouped by image: entry i holds every model's
-    instances on image i."""
+    pairs on image i."""
     return list(zip(*models)) if models else [()] * n
 
 
 def _each_image(per_image):
     """The run-level pipeline that calls ``per_image(image, dets, segs,
-    task, params)`` on each image with every model's instances on it.
+    task, params)`` on each image with every model's pairs on it.
     Images are fused as the caller reads them, so no image's
     intermediate results outlive it."""
     def pipeline(images, dets, segs, task, params):
@@ -462,9 +455,7 @@ def _each_image(per_image):
 
 @_each_image
 def _identity(image, dets, segs, task, params):
-    if task == DETECTION:
-        return [pair for insts in dets for pair in _boxes_of(insts)]
-    return [pair for insts in segs for pair in _polys_of(insts)]
+    return [pair for pairs in (dets if task == DETECTION else segs) for pair in pairs]
 
 
 @_each_image
@@ -482,28 +473,26 @@ def _uno(image, dets, segs, task, params):
 @_each_image
 def _sigmoid(image, dets, segs, task, params):
     refined: list[ScoredPoly] = []
-    for insts in segs:
-        for inst in insts:
-            poly = refine_segmentation(inst.segmentation, image.width, image.height, params)
-            if poly is not None:
-                refined.append((poly, inst.score))
-    det_pairs = [pair for insts in dets for pair in _boxes_of(insts)]
-    rescored = fuse_seg_det_scores(refined, det_pairs, params)
+    for polys in segs:
+        for poly, score in polys:
+            cleaned = refine_segmentation(poly, image.width, image.height, params)
+            if cleaned is not None:
+                refined.append((cleaned, score))
+    rescored = fuse_seg_det_scores(refined, [pair for boxes in dets for pair in boxes], params)
     if task == SEGMENTATION:
         return confidence_filter(rescored, params.seg_conf)
-    branches = [_boxes_of(insts) for insts in dets] + [_derived_boxes(rescored)]
+    branches = [*dets, _derived_boxes(rescored)]
     return confidence_filter(weighted_box_fusion(branches, params.wbf_iou), params.det_conf)
 
 
 def _kmg(images, dets, segs, task, params):
-    merged = [merge_boxes_iou_ioa([_boxes_of(insts) for insts in model],
-                                  params.merge_iou, params.merge_ioa) for model in dets]
+    merged = [merge_boxes_iou_ioa(model, params.merge_iou, params.merge_ioa) for model in dets]
     final = merged[0]
     for other in merged[1:]:
         final = cross_model_merge(final, other, params.cross_iou, params.keep_conf)
     if task == DETECTION:
         return final
-    return [detection_guided_filter([pair for insts in models for pair in _polys_of(insts)],
+    return [detection_guided_filter([pair for polys in models for pair in polys],
                                     boxes, params.guide_iou)
             for boxes, models in zip(final, _by_image(segs, len(images)))]
 
@@ -511,16 +500,14 @@ def _kmg(images, dets, segs, task, params):
 @_each_image
 def _ntr(image, dets, segs, task, params):
     if task == DETECTION:
-        branches = [_boxes_of(insts) for insts in dets]
-        branches += [_derived_boxes(_polys_of(insts)) for insts in segs]
-        return weighted_box_fusion(branches, params.wbf_iou)
+        return weighted_box_fusion([*dets, *map(_derived_boxes, segs)], params.wbf_iou)
     out = []
-    for insts in segs:
-        for inst in insts:
-            mask = morphology(rasterize(inst.segmentation, image.width, image.height),
-                              "open", params.open_kernel, params.open_iterations)
-            if mask.any():
-                out.append((trace_largest_contour(mask), inst.score))
+    for polys in segs:
+        for poly, score in polys:
+            opened = morphology(rasterize(poly, image.width, image.height),
+                                "open", params.open_kernel, params.open_iterations)
+            if opened.any():
+                out.append((trace_largest_contour(opened), score))
     return out
 
 
@@ -581,9 +568,9 @@ def run_preset(preset: str, dataset: Dataset, inputs: Sequence[PredictionSet],
     if params is None:
         params = preset_params(preset)
     images = dataset.images
-    dets = [[s.instances_for(image.id) for image in images]
+    dets = [[[(p.bbox, p.score) for p in s.instances_for(image.id)] for image in images]
             for s in inputs if s.task == DETECTION]
-    segs = [[s.instances_for(image.id) for image in images]
+    segs = [[[(p.segmentation, p.score) for p in s.instances_for(image.id)] for image in images]
             for s in inputs if s.task == SEGMENTATION]
     instances: list[PredictionInstance] = []
     for image, pairs in zip(images, pipeline(images, dets, segs, task, params)):

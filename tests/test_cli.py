@@ -193,6 +193,21 @@ class TestValidate:
         _, gt, _, _ = workspace
         assert run(["validate", gt, "/nonexistent/p.json"]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "score", "leaderboard"])
+    @pytest.mark.parametrize("role", ["ground-truth", "predictions"])
+    def test_deeply_nested_json_exit_2(self, workspace, capsys, command, role):
+        root, gt, det, _ = workspace
+        deep = root / "subs" / "deep.json"
+        deep.parent.mkdir()
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        gt, preds = (deep, det) if role == "ground-truth" else (gt, deep)
+        if command == "leaderboard":
+            preds = deep.parent
+        assert run([command, gt, preds, "--task", "det", "--out", root / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "deep.json" in err and "recursion" in err and "Traceback" not in err
+        assert not (root / "out").exists()
+
 
 class TestScore:
     def test_perfect_prints_100(self, workspace, capsys):
@@ -469,6 +484,29 @@ class TestFuse:
         assert run(["fuse", gt, seg, "--preset", "uno", "--set", "ensemble_threshold=0",
                     "--out", root / "x.json"]) == 3
         assert "configuration error: ensemble_threshold" in capsys.readouterr().err
+        assert not (root / "x.json").exists()
+
+    @pytest.mark.parametrize("preset", ["kmg", "sigmoid"])
+    @pytest.mark.parametrize("name", ["merge_iou", "merge_ioa", "cross_iou"])
+    def test_zero_merge_threshold_exit_3(self, workspace, capsys, preset, name):
+        root, gt, det, seg = workspace
+        assert run(["fuse", gt, seg, det, "--preset", preset, "--set", f"{name}=0",
+                    "--task", "seg", "--out", root / "x.json"]) == 3
+        assert f"configuration error: {name} must lie in (0, 1]" in capsys.readouterr().err
+        assert not (root / "x.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"preset": "kmg", "params": {"merge_iou": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+        '{"preset": "kmg", ',
+    ], ids=["nested-too-deep", "not-json"])
+    def test_unparsable_preset_config_exit_3(self, workspace, capsys, text):
+        root, gt, det, _ = workspace
+        cfg = root / "pipeline.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert run(["fuse", gt, det, "--preset", cfg, "--task", "det",
+                    "--out", root / "x.json"]) == 3
+        err = capsys.readouterr().err
+        assert f"configuration error: {cfg}: " in err and "Traceback" not in err
         assert not (root / "x.json").exists()
 
     def test_sigmoid_collapsing_simplification_exit_0(self, workspace):

@@ -1,7 +1,9 @@
 import copy
+import inspect
 import json
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -97,6 +99,13 @@ class TestLoadGroundTruth:
         gt["categories"].append({"id": 2, "name": "other"})
         path = write_json_file(tmp_path / "gt.json", gt)
         with pytest.raises(MultipleCategoriesError):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("categories", [None, {}, "x"], ids=["null", "object", "string"])
+    def test_non_array_categories_is_malformed(self, tmp_path, categories):
+        gt = dict(make_gt([image(1)], []), categories=categories)
+        path = write_json_file(tmp_path / "gt.json", gt)
+        with pytest.raises(MalformedJsonError, match="categories must be JSON arrays"):
             load_ground_truth(path)
 
     def test_missing_field(self, tmp_path):
@@ -482,6 +491,24 @@ class TestLoaderMessages:
         with pytest.raises(MalformedJsonError, match=re.escape(
                 f"images[1]: file_name {json.dumps(file_name)} is not a string")):
             load_ground_truth(path)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_readme_fault_table_matches_error_codes():
+    """Each code in the README's fault table is a ``CocoFormatError`` code or
+    the ``BoxOutsideImage`` warning, and every code a loader raises is listed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE))
+    errors = [cls for cls in _subclasses(CocoFormatError) if cls is not SubmissionError]
+    assert listed - {cls.code for cls in errors} == {"BoxOutsideImage"}
+    raised = {cls.code for cls in errors if cls.__name__ in inspect.getsource(coco)}
+    assert raised <= listed
 
 
 # Each fault both loaders can meet, as an edit of a valid annotation and of
