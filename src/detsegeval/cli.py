@@ -25,7 +25,6 @@ from .coco import (
     load_predictions,
     parse_predictions,
     payload_task,
-    predictions_to_list,
     read_predictions,
     to_json,
     write_json,
@@ -106,7 +105,7 @@ def cmd_score(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(report.to_dict(), out_dir / "report.json")
+    write_json(report, out_dir / "report.json")
     (out_dir / "report.md").write_text(report.to_markdown(Path(args.predictions).stem),
                                        encoding="utf-8")
     _write_manifest(
@@ -158,7 +157,7 @@ def cmd_fuse(args) -> int:
         inputs.append(load_predictions(items, dataset, payload_task(items, task),
                                        lenient=args.lenient))
     fused = run_preset(preset, dataset, inputs, task, params)
-    write_json(predictions_to_list(fused), args.out)
+    write_json(fused, args.out)
     _write_manifest(
         Path(args.out).with_suffix(".manifest.json"),
         ["fuse", str(args.ground_truth)] + [str(p) for p in args.inputs],

@@ -173,6 +173,10 @@ class PredictionSet:
     def instances_for(self, image_id: int) -> list[PredictionInstance]:
         return list(self._by_image.get(image_id, []))
 
+    def to_json(self) -> str:
+        """``to_json`` of the set's entry list, as a prediction file."""
+        return to_json([_entry(inst, self.task) for inst in self.instances])
+
 
 def _read_json(path) -> object:
     try:
@@ -702,30 +706,25 @@ def parse_predictions(source, dataset: Dataset, task: str
     return retained, report
 
 
-def predictions_to_list(preds: PredictionSet) -> list[dict]:
-    out = []
-    for inst in preds.instances:
-        entry: dict = {
-            "image_id": inst.image_id,
-            "category_id": inst.category_id,
-            "score": inst.score,
-        }
-        if preds.task == DETECTION:
-            entry["bbox"] = inst.bbox.as_list()
-        else:
-            entry["segmentation"] = inst.segmentation.as_lists()
-        out.append(entry)
-    return out
+class JsonText(str):
+    """JSON text that ``to_json`` writes as it is, already indented for
+    its depth in the document."""
 
 
 _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
-# A list of at most this many exact ints (a box, or the report's
-# thousands of repeated [tp, fp, fn] triples) is encoded once per indent.
-_SHORT = 4
 
 
-def _encode(obj, indent: str, ints: dict) -> str:
+def _numbers(values) -> Optional[list[str]]:
+    """The JSON text of each value if all are exact ints or finite floats,
+    whose ``repr`` is ``int.__repr__`` or ``float.__repr__``; else None."""
+    if not _typed(values, _NUMBER):
+        return None
+    texts = list(map(repr, values))
+    return texts if _NON_FINITE.isdisjoint(texts) else None
+
+
+def _encode(obj, indent: str) -> str:
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -733,23 +732,14 @@ def _encode(obj, indent: str, ints: dict) -> str:
         return int.__repr__(obj)
     if kind is float and math.isfinite(obj):
         return float.__repr__(obj)
+    if kind is JsonText:
+        return obj
     inner = indent + "  "
     if (kind is list or kind is tuple) and obj:
-        kinds = set(map(type, obj))
-        cached = kinds == _INT and len(obj) <= _SHORT
-        if cached:
-            key = (indent, *obj)
-            if key in ints:
-                return ints[key]
-        items = list(map(repr, obj)) if kinds <= _NUMBER else None
-        if items is None or not _NON_FINITE.isdisjoint(items):
-            items = [_encode(v, inner, ints) for v in obj]
-        text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-        if cached:
-            ints[key] = text
-        return text
+        items = _numbers(obj) or [_encode(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if kind is dict and obj and _typed(obj, _STR):
-        items = [_quote(k) + ": " + _encode(v, inner, ints) for k, v in sorted(obj.items())]
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     # JSON text holds no raw newline but the layout's own.
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
@@ -758,13 +748,40 @@ def _encode(obj, indent: str, ints: dict) -> str:
 def to_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.  Exact
     ``str``, ``int``, finite ``float``, ``list``, ``tuple`` and str-keyed
-    ``dict`` values are written here, numeric lists with one join and
-    short int lists once per call; the rest goes to ``json.dumps``."""
-    return _encode(obj, "", {})
+    ``dict`` values are written here, numeric lists with one join, and a
+    ``JsonText`` as it is; the rest goes to ``json.dumps``."""
+    return _encode(obj, "")
+
+
+# A detection entry as to_json writes it in the entry list, with a slot
+# in place of each value.
+_DETECTION_ENTRY = to_json({"bbox": ["%s"] * 4, "category_id": "%s", "image_id": "%s",
+                            "score": "%s"}).replace('"%s"', "%s").replace("\n", "\n  ")
+
+
+def _entry(inst: PredictionInstance, task: str):
+    """One instance as its entry of a prediction file: a detection whose
+    values are all exact ints or finite floats from a template."""
+    box = inst.bbox if task == DETECTION else None
+    texts = box and _numbers((box.x, box.y, box.w, box.h,
+                              inst.category_id, inst.image_id, inst.score))
+    if texts:
+        return JsonText(_DETECTION_ENTRY % tuple(texts))
+    payload = ({"bbox": box.as_list()} if box
+               else {"segmentation": inst.segmentation.as_lists()})
+    return {"image_id": inst.image_id, "category_id": inst.category_id,
+            "score": inst.score, **payload}
 
 
 def write_json(obj, path) -> None:
+    """Write ``obj.to_json()`` for a ``MetricsReport`` or a ``PredictionSet``,
+    else ``to_json(obj)``, and a newline to ``path``.  The text is built
+    before the file is opened, so an object that cannot be encoded leaves
+    an existing file as it was."""
+    from .metrics import MetricsReport  # metrics imports this module
+
+    text = obj.to_json() if isinstance(obj, (MetricsReport, PredictionSet)) else to_json(obj)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(obj) + "\n")
+        fh.write(text + "\n")

@@ -23,8 +23,10 @@ from .coco import (
     Dataset,
     GroundTruthInstance,
     ImageRecord,
+    JsonText,
     PredictionInstance,
     PredictionSet,
+    to_json,
 )
 from .errors import EmptyInputError
 from .geometry import box_columns, box_iou_columns, box_pair_rows, mask_iou, rasterize_runs_many
@@ -176,6 +178,30 @@ class ThresholdMetrics:
     scores: dict[float, float]  # beta -> F
 
 
+def _image_counts(taus: dict) -> dict:
+    """One image's entry of the report's ``per_image`` block."""
+    return {_THRESHOLD_KEYS[tau]: list(counts) for tau, counts in sorted(taus.items())}
+
+
+# One image's [tp, fp, fn] at each threshold as to_json writes them in
+# the per_image block, with slots for the counts in the keys' string order.
+_IMAGE_ENTRY = to_json({key: ["%s"] * 3 for key in _THRESHOLD_KEYS.values()}
+                       ).replace('"%s"', "%s").replace("\n", "\n    ")
+_KEY_ORDER = sorted(THRESHOLDS, key=_THRESHOLD_KEYS.get)
+
+
+def _image_json(taus: dict):
+    """``_image_counts(taus)``, from the template when it holds a triple of
+    exact ints at each of ``THRESHOLDS`` and no other threshold."""
+    if taus.keys() == _THRESHOLD_KEYS.keys():
+        triples = list(map(taus.__getitem__, _KEY_ORDER))
+        if set(map(len, triples)) == {3}:
+            counts = tuple(chain.from_iterable(triples))
+            if set(map(type, counts)) == {int}:
+                return JsonText(_IMAGE_ENTRY % counts)
+    return _image_counts(taus)
+
+
 @dataclass
 class MetricsReport:
     task: str
@@ -191,6 +217,15 @@ class MetricsReport:
         return (self.f1_headline, self.f1_range, self.f2_headline, self.f2_range)
 
     def to_dict(self) -> dict:
+        return self._as_dict(_image_counts)
+
+    def to_json(self) -> str:
+        """``to_json(self.to_dict())``, byte for byte, with each image of
+        the ``per_image`` block from one template where it fits."""
+        return to_json(self._as_dict(_image_json))
+
+    def _as_dict(self, image) -> dict:
+        """The report with ``image(taus)`` as each image's entry."""
         return {
             "task": self.task,
             "headline_threshold": HEADLINE_THRESHOLD,
@@ -213,10 +248,7 @@ class MetricsReport:
                 "final_score": self.final,
             },
             "per_image": {
-                str(image_id): {
-                    _THRESHOLD_KEYS[tau]: list(counts) for tau, counts in sorted(taus.items())
-                }
-                for image_id, taus in sorted(self.per_image.items())
+                str(image_id): image(taus) for image_id, taus in sorted(self.per_image.items())
             },
         }
 

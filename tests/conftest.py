@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from detsegeval.coco import DETECTION, PredictionSet
 from detsegeval.geometry import PolygonSet, RunMask
 
 sys.path.insert(0, str(Path(__file__).parent))  # for reference_impl
@@ -46,6 +47,24 @@ def polygon_set(rings) -> PolygonSet:
     """The polygon set of flat ``[x1, y1, x2, y2, ...]`` rings, with every
     coordinate as a float."""
     return PolygonSet(tuple(tuple(float(v) for v in ring) for ring in rings))
+
+
+def predictions_to_list(preds: PredictionSet) -> list[dict]:
+    """A prediction set as the entry list of a prediction file, the list
+    that a written fused file holds."""
+    out = []
+    for inst in preds.instances:
+        entry: dict = {
+            "image_id": inst.image_id,
+            "category_id": inst.category_id,
+            "score": inst.score,
+        }
+        if preds.task == DETECTION:
+            entry["bbox"] = inst.bbox.as_list()
+        else:
+            entry["segmentation"] = inst.segmentation.as_lists()
+        out.append(entry)
+    return out
 
 
 def make_gt(images, annotations, category=(1, "rip_current")):

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import detsegeval
 from detsegeval.cli import main
-from detsegeval.coco import load_ground_truth, parse_predictions
+from detsegeval.coco import DETECTION, load_ground_truth, load_predictions, parse_predictions
 from detsegeval.fixtures import generate_fixture
-from detsegeval.fusion import PRESETS
-from conftest import annotation, det_pred, image, make_gt, seg_pred, write_json_file
+from detsegeval.fusion import PRESETS, preset_params, run_preset
+from detsegeval.metrics import evaluate
+from conftest import (annotation, det_pred, image, make_gt, predictions_to_list, seg_pred,
+                      write_json_file)
 
 
 def run(argv):
@@ -316,6 +318,36 @@ def test_fused_output_matches_golden_digest(golden_inputs, preset, task):
     assert run(["fuse", gt, *inputs, "--preset", preset, "--task", task,
                 "--out", out]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FUSED[preset, task]
+
+
+def test_outputs_are_sorted_indented_json(tmp_path):
+    """``report.json``, kmg's fused detections and their manifests hold
+    ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, ``obj``
+    being the report's ``to_dict()``, the fused entry list and the parsed
+    manifest.  Image ids run past 10, so their string order is not their
+    numeric order."""
+    for name, perturbation in (("a", 0.15), ("b", 0.35)):
+        assert run(["gen-fixture", "--seed", 5, "--images", 24,
+                    "--perturbation", perturbation, "--out", tmp_path / name]) == 0
+    gt, models = tmp_path / "a" / "gt.json", [tmp_path / k / "pred_det.json" for k in "ab"]
+    assert run(["score", gt, models[0], "--task", "det", "--out", tmp_path / "scores"]) == 0
+    assert run(["fuse", gt, *models, "--preset", "kmg", "--task", "det",
+                "--out", tmp_path / "fused.json"]) == 0
+
+    ds = load_ground_truth(gt)
+    preds = [load_predictions(path, ds, DETECTION) for path in models]
+    expected = {
+        "scores/report.json": evaluate(ds, preds[0]).to_dict(),
+        "fused.json": predictions_to_list(
+            run_preset("kmg", ds, preds, DETECTION, preset_params("kmg"))),
+    }
+    for name in ("scores/manifest.json", "fused.manifest.json"):
+        expected[name] = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+    assert {2, 10} <= set(map(int, expected["scores/report.json"]["per_image"]))
+    assert len(expected["fused.json"]) > 0
+    for name, obj in expected.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == \
+               json.dumps(obj, indent=2, sort_keys=True) + "\n", name
 
 
 class TestFuse:

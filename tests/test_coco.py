@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +14,11 @@ from detsegeval import cli, coco
 from detsegeval.coco import (
     MAX_COORDINATE,
     Dataset,
+    PredictionInstance,
     PredictionSet,
     load_ground_truth,
     load_predictions,
     parse_predictions,
-    predictions_to_list,
     to_json,
     write_json,
 )
@@ -35,12 +36,14 @@ from detsegeval.errors import (
     WrongPayloadKindError,
 )
 from detsegeval.fixtures import generate_fixture
-from detsegeval.geometry import PolygonSet, rasterize
+from detsegeval.geometry import BBox, PolygonSet, rasterize
+from detsegeval.metrics import THRESHOLDS, ConfusionCounts, MetricsReport, ThresholdMetrics
 from conftest import (
     annotation,
     det_pred,
     image,
     make_gt,
+    predictions_to_list,
     seg_pred,
     traced_peak_bytes,
     write_json_file,
@@ -647,6 +650,81 @@ def _json_values():
     ), max_leaves=40)
 
 
+# Values that json.dumps writes but a fixed-shape template must not:
+# a bool, a float subclass, a non-finite float, and -0.0 and a long int,
+# which it must write as float.__repr__ and int.__repr__ do.
+_ODD_NUMBERS = [True, False, np.float64(0.1), np.float64(-0.0), float("nan"), float("inf"),
+                float("-inf"), -0.0, 2 ** 70, 1e16]
+# Image ids whose string order differs from their numeric order.
+_IMAGE_IDS = st.sampled_from([1, 2, 10, 11, 20, 100]) | st.integers(-5, 10 ** 12)
+
+
+@st.composite
+def _threshold_counts(draw):
+    """One image's [tp, fp, fn] at each threshold, now and then with an
+    odd value, a list for a tuple, a 2- and a 4-count entry, or a
+    threshold set other than THRESHOLDS."""
+    count = st.integers(0, 10 ** 6)
+    taus = {tau: draw(st.tuples(count, count, count)) for tau in THRESHOLDS}
+    kind = draw(st.sampled_from(["exact", "exact", "value", "list", "lengths", "subset"]))
+    a, b = draw(st.lists(st.sampled_from(THRESHOLDS), min_size=2, max_size=2, unique=True))
+    if kind == "value":
+        i = draw(st.integers(0, 2))
+        taus[a] = taus[a][:i] + (draw(st.sampled_from(_ODD_NUMBERS)),) + taus[a][i + 1:]
+    elif kind == "list":
+        taus[a] = list(taus[a])
+    elif kind == "lengths":
+        taus[a], taus[b] = taus[a][:2], taus[b] + (7,)
+    elif kind == "subset":
+        taus = {tau: c for tau, c in taus.items() if draw(st.booleans())}
+    return taus
+
+
+@st.composite
+def _reports(draw):
+    score = st.floats() | st.sampled_from(_ODD_NUMBERS)
+    per_threshold = [
+        ThresholdMetrics(tau, ConfusionCounts(*draw(st.tuples(*[st.integers(0, 99)] * 3))),
+                         {1.0: draw(score), 2.0: draw(score)})
+        for tau in draw(st.lists(st.sampled_from(THRESHOLDS), max_size=3))]
+    ids = draw(st.lists(_IMAGE_IDS, unique=True, max_size=6))
+    return MetricsReport(draw(st.sampled_from(["detection", "segmentation"])), per_threshold,
+                         *(draw(score) for _ in range(5)),
+                         {image_id: draw(_threshold_counts()) for image_id in ids})
+
+
+@st.composite
+def _payload_numbers(draw, n):
+    """``n`` payload numbers: ints and finite floats, now and then with
+    one odd value among them."""
+    values = draw(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.floats(-1e6, 1e6),
+                           min_size=n, max_size=n))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_NUMBERS))
+    return values
+
+
+@st.composite
+def _prediction_sets(draw):
+    task = draw(st.sampled_from(["detection", "segmentation"]))
+    instances = []
+    for k in range(draw(st.integers(0, 6))):
+        score, *payload = draw(_payload_numbers(5))
+        image_id, category_id = draw(_IMAGE_IDS), draw(st.sampled_from([1, 1, 3, True]))
+        if task == "detection":
+            kwargs = {"bbox": BBox(*payload)}
+        else:
+            rings = draw(st.lists(_payload_numbers(6), min_size=1, max_size=2))
+            kwargs = {"segmentation": PolygonSet(tuple(map(tuple, rings)))}
+        instances.append(PredictionInstance(image_id, score, category_id, k, **kwargs))
+    return PredictionSet(task, instances)
+
+
+@pytest.fixture(scope="class")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("write_json")
+
+
 class TestWriteJson:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(_json_values())
@@ -664,6 +742,33 @@ class TestWriteJson:
                              for k in range(3)},
                "rows": [[1, 0], [True, 0], [1, 0], [[1, 0]], [1, 0, 0, 0, 0]]}
         assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_reports())
+    def test_report_matches_json_dumps(self, json_dir, report):
+        write_json(report, json_dir / "report.json")
+        assert (json_dir / "report.json").read_text(encoding="utf-8") == \
+               json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_prediction_sets())
+    def test_prediction_set_matches_json_dumps(self, json_dir, preds):
+        write_json(preds, json_dir / "fused.json")
+        assert (json_dir / "fused.json").read_text(encoding="utf-8") == \
+               json.dumps(predictions_to_list(preds), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {"a": object()},
+        MetricsReport("detection", [], 0.0, 0.0, 0.0, 0.0, 0.0,
+                      {1: {tau: (1, 0, object()) for tau in THRESHOLDS}}),
+    ], ids=["dict", "report"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, obj):
+        path = tmp_path / "x.json"
+        write_json({"kept": [1, 2.5]}, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(obj, path)
+        assert path.read_bytes() == before
 
     def test_file_bytes(self, tmp_path):
         obj = {"10": [1, -0.0, 1e16], "2": {"\u00e9": [], "b": {}}, "a": [{"z": None, "y": True}],

@@ -51,6 +51,7 @@ from conftest import (
     image,
     make_gt,
     polygon_set,
+    predictions_to_list,
     seg_pred,
     traced_peak_bytes,
     write_json_file,
@@ -579,7 +580,7 @@ class TestPresets:
         ("visionx", "segmentation"), ("visionx", "detection"),
     ])
     def test_preset_outputs_validate(self, fusion_setup, preset, task):
-        from detsegeval.coco import parse_predictions, predictions_to_list
+        from detsegeval.coco import parse_predictions
         ds, sets = fusion_setup
         inputs = [sets["seg_a"], sets["seg_b"], sets["det_a"]]
         out = run_preset(preset, ds, inputs, task, preset_params(preset))
