@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat, starmap
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,16 +51,14 @@ SEGMENTATION = "segmentation"
 TASKS = (DETECTION, SEGMENTATION)
 
 
-@dataclass(frozen=True)
-class ImageRecord:
+class ImageRecord(NamedTuple):
     id: int
     width: int
     height: int
     file_name: str
 
 
-@dataclass(frozen=True)
-class GroundTruthInstance:
+class GroundTruthInstance(NamedTuple):
     id: int
     image_id: int
     bbox: BBox
@@ -68,8 +66,7 @@ class GroundTruthInstance:
     category_id: int
 
 
-@dataclass(frozen=True)
-class PredictionInstance:
+class PredictionInstance(NamedTuple):
     """One scored prediction; exactly one of bbox/segmentation is set.
 
     ``source_index`` records the instance's position in the input file and

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_right
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ Ring = Sequence[float]  # flat vertex list [x1, y1, x2, y2, ...]
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(NamedTuple):
     """Axis-aligned box, COCO ``[x, y, w, h]`` convention."""
 
     x: float
@@ -59,11 +58,10 @@ class BBox:
         return self.w * self.h
 
     def as_list(self) -> list[float]:
-        return [self.x, self.y, self.w, self.h]
+        return list(self)
 
 
-@dataclass(frozen=True)
-class PolygonSet:
+class PolygonSet(NamedTuple):
     """One or more polygon rings; the region is the union of the rings."""
 
     rings: tuple[tuple[float, ...], ...]
@@ -399,7 +397,7 @@ def box_ioa_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def box_columns(boxes: Iterable[BBox]) -> np.ndarray:
     """Boxes as the ``(M, 4)`` float64 rows the column measures take."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return np.array(list(boxes), dtype=np.float64).reshape(-1, 4)
 
 
 def box_pair_rows(sizes_a: Sequence[int], boxes_a: np.ndarray,

@@ -180,7 +180,8 @@ class ThresholdMetrics:
 
 def _image_counts(taus: dict) -> dict:
     """One image's entry of the report's ``per_image`` block."""
-    return {_THRESHOLD_KEYS[tau]: list(counts) for tau, counts in sorted(taus.items())}
+    return {_THRESHOLD_KEYS.get(tau) or f"{tau:.2f}": list(counts)
+            for tau, counts in sorted(taus.items())}
 
 
 # One image's [tp, fp, fn] at each threshold as to_json writes them in

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -67,6 +68,67 @@ def test_module_entry_point_exit_code(workspace, args, code, stdout):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60)
     assert (out.returncode, out.stdout.strip()) == (code, stdout)
+
+
+@pytest.fixture
+def restore_gc():
+    """Leaves the collector on or off as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("args,code", [
+    (["validate", "gt.json", "det.json"], 0),
+    (["validate", "gt.json", "gt.json"], 2),  # ground truth passed as predictions
+    (["fuse", "gt.json", "det.json", "--preset", "nope"], 3),
+    (["validate", "gt.json", "missing.json"], 1),
+    (["--version"], 0),  # argparse exits
+    (["validate", "gt.json"], 2),  # argparse exits: a positional is missing
+], ids=["exit-0", "exit-2", "exit-3", "exit-1", "version", "bad-arguments"])
+def test_main_leaves_gc_state_as_found(workspace, restore_gc, capsys, enabled, args, code):
+    root = workspace[0]
+    argv = [str(root / a) if a.endswith(".json") else a for a in args]
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert gc.isenabled() is enabled
+
+
+def test_commands_leave_no_garbage_that_grows_with_input(tmp_path, restore_gc, capsys):
+    """With the collector off, what a collection finds after each command
+    does not depend on the input's size: the pipeline makes no reference
+    cycles, so ``main`` may pause the collector."""
+    commands = [
+        ["validate", "{d}/gt.json", "{d}/faulty.json", "--lenient", "--out", "{d}/v.json"],
+        ["score", "{d}/gt.json", "{d}/pred_det.json", "--out", "{d}/det"],
+        ["score", "{d}/gt.json", "{d}/pred_seg.json", "--task", "seg", "--out", "{d}/seg"],
+        ["fuse", "{d}/gt.json", "{d}/pred_det.json", "{d}/pred_det.json", "--preset", "kmg",
+         "--task", "det", "--out", "{d}/kmg.json"],
+        ["fuse", "{d}/gt.json", "{d}/pred_seg.json", "{d}/pred_det.json", "--preset",
+         "sigmoid", "--task", "seg", "--out", "{d}/sigmoid.json"],
+    ]
+    found = {}
+    for size in (6, 6, 60):  # the first round warms caches and lazy imports
+        d = tmp_path / str(size)
+        assert main(["gen-fixture", "--seed", "5", "--images", str(size), "--out", str(d)]) == 0
+        items = json.loads((d / "pred_det.json").read_text(encoding="utf-8"))
+        write_json_file(d / "faulty.json", [{**e, "score": 2.0} for e in items])  # all faulty
+        counts = []
+        for command in commands:
+            gc.collect()
+            gc.disable()
+            assert main([a.format(d=d) for a in command]) == 0
+            counts.append(gc.collect())
+            gc.enable()
+        found[size] = counts
+    assert found[60] == found[6]
 
 
 class TestValidate:

@@ -662,11 +662,12 @@ _IMAGE_IDS = st.sampled_from([1, 2, 10, 11, 20, 100]) | st.integers(-5, 10 ** 12
 @st.composite
 def _threshold_counts(draw):
     """One image's [tp, fp, fn] at each threshold, now and then with an
-    odd value, a list for a tuple, a 2- and a 4-count entry, or a
-    threshold set other than THRESHOLDS."""
+    odd value, a list for a tuple, a 2- and a 4-count entry, a threshold
+    set other than THRESHOLDS, or a threshold off their grid."""
     count = st.integers(0, 10 ** 6)
     taus = {tau: draw(st.tuples(count, count, count)) for tau in THRESHOLDS}
-    kind = draw(st.sampled_from(["exact", "exact", "value", "list", "lengths", "subset"]))
+    kind = draw(st.sampled_from(["exact", "exact", "value", "list", "lengths", "subset",
+                                 "offgrid"]))
     a, b = draw(st.lists(st.sampled_from(THRESHOLDS), min_size=2, max_size=2, unique=True))
     if kind == "value":
         i = draw(st.integers(0, 2))
@@ -677,6 +678,8 @@ def _threshold_counts(draw):
         taus[a], taus[b] = taus[a][:2], taus[b] + (7,)
     elif kind == "subset":
         taus = {tau: c for tau, c in taus.items() if draw(st.booleans())}
+    elif kind == "offgrid":
+        taus[draw(st.sampled_from([0.3, 0.97]))] = draw(st.tuples(count, count, count))
     return taus
 
 
@@ -967,3 +970,54 @@ _SEG_FAULTS = [
     ("score", 1.5),
     ("score", float("nan")),
 ]
+
+
+_BOX = BBox(1.0, 2.0, 3.0, 4.0)
+_POLY = PolygonSet(((0.0, 0.0, 4.0, 0.0, 4.0, 4.0),))
+# One instance of each value record, with its repr.
+_RECORDS = [
+    (_BOX, "BBox(x=1.0, y=2.0, w=3.0, h=4.0)"),
+    (_POLY, "PolygonSet(rings=((0.0, 0.0, 4.0, 0.0, 4.0, 4.0),))"),
+    (coco.ImageRecord(1, 64, 48, "a.jpg"),
+     "ImageRecord(id=1, width=64, height=48, file_name='a.jpg')"),
+    (coco.GroundTruthInstance(7, 1, _BOX, _POLY, 1),
+     f"GroundTruthInstance(id=7, image_id=1, bbox={_BOX!r}, segmentation={_POLY!r}, "
+     "category_id=1)"),
+    (PredictionInstance(1, 0.5, 1, 3, bbox=_BOX),
+     f"PredictionInstance(image_id=1, score=0.5, category_id=1, source_index=3, "
+     f"bbox={_BOX!r}, segmentation=None)"),
+]
+
+
+class TestRecords:
+    """The value records stay immutable, compare and hash by value and
+    keep the reprs they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("record,text", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned(self, record, text):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    @pytest.mark.parametrize("record,text", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_equality_and_hash_by_value(self, record, text):
+        twin = type(record)(*record)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        assert record._replace(**{record._fields[0]: 99}) != record
+
+    @pytest.mark.parametrize("record,text", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    def test_prediction_payloads_default_to_none(self):
+        inst = PredictionInstance(1, 0.5, 1, 0)
+        assert (inst.bbox, inst.segmentation) == (None, None)
+
+    def test_box_properties(self):
+        assert (_BOX.x2, _BOX.y2, _BOX.area, _BOX.as_list()) == (4.0, 6.0, 12.0,
+                                                                 [1.0, 2.0, 3.0, 4.0])
+        assert _POLY.as_lists() == [[0.0, 0.0, 4.0, 0.0, 4.0, 4.0]]
