@@ -501,13 +501,20 @@ def _kmg(images, dets, segs, task, params):
 def _ntr(image, dets, segs, task, params):
     if task == DETECTION:
         return weighted_box_fusion([*dets, *map(_derived_boxes, segs)], params.wbf_iou)
+    pairs = [pair for polys in segs for pair in polys]
+    masks = rasterize_runs_many((poly, image.width, image.height) for poly, _ in pairs)
     out = []
-    for polys in segs:
-        for poly, score in polys:
-            opened = morphology(rasterize(poly, image.width, image.height),
-                                "open", params.open_kernel, params.open_iterations)
-            if opened.any():
-                out.append((trace_largest_contour(opened), score))
+    for (_, score), runs in zip(pairs, masks):
+        if not runs.rows.size:
+            continue
+        # The opening is exact on the polygon's tight window, as in
+        # _visionx.
+        y0, x0 = int(runs.rows[0]), int(runs.starts.min())
+        y1, x1 = int(runs.rows[-1]) + 1, int(runs.ends.max())
+        window = paint_runs([runs], y1 - y0, x1 - x0, y0, x0)
+        opened = morphology(window, "open", params.open_kernel, params.open_iterations)
+        if opened.any():
+            out.append((_to_frame(trace_largest_contour(opened), x0, y0), score))
     return out
 
 

@@ -478,6 +478,26 @@ def connected_components(mask: np.ndarray) -> list[Component]:
     return comps
 
 
+def _runs_along_rows(a: np.ndarray, b: np.ndarray, side: int, op, off: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``op`` over every ``side`` consecutive rows of ``a``, for each of
+    its first ``n = len(a) - side + 1`` rows, written to ``out`` or else
+    to rows ``off`` to ``off + n`` of the returned buffer, ``a`` or ``b``;
+    both buffers, of one shape, are overwritten.  Combining the runs of
+    width ``k`` at ``i`` and at ``i + k`` gives those of width ``2k``; one
+    last combine of the widest runs, at ``i`` and ``i + side - k``, brings
+    the width to ``side``."""
+    n = len(a) - side + 1
+    width, length = 1, len(a)
+    while 2 * width <= side:
+        length -= width
+        op(a[:length], a[width:width + length], out=b[:length])
+        a, b = b, a
+        width *= 2
+    op(a[:n], a[side - width:side - width + n], out=b[off:off + n] if out is None else out)
+    return b
+
+
 def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) -> np.ndarray:
     """Binary opening or closing with a square ``size x size`` element.
 
@@ -492,15 +512,15 @@ def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) ->
         raise ValueError("structuring element size must be odd and >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    from scipy import ndimage  # imported here: detection runs never load it
 
     mask = np.asarray(mask, dtype=bool)
     out = np.zeros(mask.shape, dtype=bool)
     # With background outside the grid, n passes of a k x k square are one
     # square of side n*(k-1)+1, and that square is separable into row and
-    # column min/max passes (van Herk 1992; Gil & Werman 1993).  A side
-    # past the frame's shorter side reaches out of the grid from every
-    # pixel, so the erosion, and with it either op, is empty.
+    # column AND (erosion) or OR (dilation) passes (van Herk 1992; Gil &
+    # Werman 1993).  A side past the frame's shorter side reaches out of
+    # the grid from every pixel, so the erosion, and with it either op, is
+    # empty.
     half = (size // 2) * iterations
     side = 2 * half + 1
     fg = _foreground_window(mask)
@@ -508,15 +528,31 @@ def morphology(mask: np.ndarray, op: str, size: int = 5, iterations: int = 1) ->
         return out
     # Every pixel more than `half` from the foreground's window is
     # background in the input, between the two stages and in the output,
-    # so the filters run on that window grown by `half`, clipped to the
-    # frame; out-of-grid pixels are the filters' zero `cval`.
+    # so the passes run on that window grown by `half`, clipped to the
+    # frame, inside a border of `half` False cells for the out-of-grid
+    # and far background.  Two buffers of that padded shape hold every
+    # pass; each stage leaves its result inside the border of one.
     (rows, cols), (h, w) = fg, mask.shape
     win = (slice(max(rows.start - half, 0), min(rows.stop + half, h)),
            slice(max(cols.start - half, 0), min(cols.stop + half, w)))
-    first, second = ((ndimage.minimum_filter, ndimage.maximum_filter) if op == "open"
-                     else (ndimage.maximum_filter, ndimage.minimum_filter))
-    sub = first(mask[win].view(np.uint8), size=side, mode="constant", cval=0)
-    out[win] = second(sub, size=side, mode="constant", cval=0)
+    sub = mask[win]
+    h, w = sub.shape
+    a = np.zeros((h + 2 * half, w + 2 * half), dtype=bool)
+    b = np.empty_like(a)
+    a[half:half + h, half:half + w] = sub
+    stages = (np.logical_and, np.logical_or) if op == "open" else (np.logical_or, np.logical_and)
+    for fn, dest in zip(stages, (None, out[win])):
+        # Rows first, over every column: the border columns of `a` are
+        # False, and so are the results on them, which the column pass
+        # reads as its border.  The column pass runs along the rows of
+        # the transposed buffers.
+        r = _runs_along_rows(a, b, side, fn, half)
+        spare = b if r is a else a
+        lines = r[half:half + h].T
+        done = _runs_along_rows(lines, spare[half:half + h].T, side, fn, half,
+                                None if dest is None else dest.T)
+        a, b = (r, spare) if done is lines else (spare, r)
+        a[:half] = a[half + h:] = a[:, :half] = a[:, half + w:] = False
     return out
 
 

@@ -1,8 +1,10 @@
+import argparse
 import gc
 import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +101,24 @@ def test_main_leaves_gc_state_as_found(workspace, restore_gc, capsys, enabled, a
     except SystemExit as exc:
         assert exc.code == code
     assert gc.isenabled() is enabled
+
+
+def test_main_builds_one_parser_on_its_first_call(workspace, monkeypatch, capsys):
+    """Importing the CLI builds no parser, and every ``main`` call parses
+    with the one that the first call built."""
+    src = str(Path(detsegeval.__file__).resolve().parents[1])
+    code = "import detsegeval.cli as c; print(c.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: parsers.append(self) or parse_args(self, *a, **k))
+    root = workspace[0]
+    assert main(["validate", str(root / "gt.json"), str(root / "det.json")]) == 0
+    assert main(["validate", str(root / "gt.json"), str(root / "seg.json"), "--task", "seg"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_commands_leave_no_garbage_that_grows_with_input(tmp_path, restore_gc, capsys):
@@ -609,6 +629,29 @@ class TestFuse:
         assert run(["fuse", gt, seg, det, "--preset", "sigmoid", "--task", "seg",
                     "--set", "eps_ratio=0.9", "--out", out]) == 0
         assert run(["validate", gt, out, "--task", "seg"]) == 0
+
+    def test_ntr_paints_no_frame_on_a_huge_image(self, tmp_path):
+        """ntr opens each polygon on its own window: one full frame here
+        would take 931 GiB, far past the child's 4 GiB address space."""
+        square = [10, 10, 20, 20]
+        gt = write_json_file(tmp_path / "gt.json", make_gt([image(1, 10**6, 10**6)],
+                                                           [annotation(1, 1, square)]))
+        seg = write_json_file(tmp_path / "seg.json",
+                              [seg_pred(1, 0.9, [[10, 10, 30, 10, 30, 30, 10, 30]])])
+        det = write_json_file(tmp_path / "det.json", [det_pred(1, 0.9, square)])
+        out = tmp_path / "fused.json"
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        src = str(Path(detsegeval.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "detsegeval.cli", "fuse", gt, seg, det,
+                               "--preset", "ntr", "--task", "seg", "--out", out],
+                              env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_address_space,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [e["segmentation"] for e in json.loads(out.read_text())] == \
+               [[[10.0, 10.0, 30.0, 10.0, 30.0, 30.0, 10.0, 30.0]]]
 
     def test_set_overrides_preset_file(self, workspace):
         root, gt, det, seg = workspace

@@ -44,6 +44,7 @@ from detsegeval.geometry import (
     morphology,
     polygon_to_bbox,
     rasterize,
+    trace_largest_contour,
 )
 from conftest import (
     annotation,
@@ -754,3 +755,65 @@ class TestSemanticWindow:
             run_preset(preset, ds, sets, SEGMENTATION, preset_params(preset))))
         assert len(out[0].instances) == 5
         assert peak < 8 * 2**20
+
+
+@st.composite
+def _ntr_case(draw):
+    """Frames of 13-64 px, some 4-13 px short or narrow around ntr's
+    13 px element, holding polygons of one to three rings: rectangles flush
+    with or reaching past a chosen frame edge, free rectangles and
+    random rings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for kind in draw(st.lists(st.sampled_from(["wide", "short", "narrow"]), min_size=1, max_size=3)):
+        w, h = (int(v) for v in rng.integers(13, 65, 2))
+        if kind != "wide":
+            short = int(rng.integers(4, 14))  # 12 and 13 among them
+            w, h = (w, short) if kind == "short" else (short, h)
+        frames.append((w, h))
+    per_image = []
+    for w, h in frames:
+        polys = []
+        for _ in range(int(rng.integers(0, 4))):
+            rings = []
+            for _ in range(int(rng.integers(1, 4))):
+                if rng.random() < 0.7:
+                    x0, y0 = int(rng.integers(-3, w // 2 + 1)), int(rng.integers(-3, h // 2 + 1))
+                    x1, y1 = int(rng.integers(x0, w + 4)), int(rng.integers(y0, h + 4))
+                    edge = rng.choice(["top", "bottom", "left", "right", "none"])
+                    y0, y1 = {"top": (-int(rng.integers(0, 3)), y1),
+                              "bottom": (y0, h + int(rng.integers(0, 3)))}.get(edge, (y0, y1))
+                    x0, x1 = {"left": (-int(rng.integers(0, 3)), x1),
+                              "right": (x0, w + int(rng.integers(0, 3)))}.get(edge, (x0, x1))
+                    rings.append([x0, y0, x1 + 1, y0, x1 + 1, y1 + 1, x0, y1 + 1])
+                else:
+                    n = int(rng.integers(3, 8))
+                    xs = rng.integers(-2, w + 3, n) + rng.integers(0, 4, n) / 4
+                    ys = rng.integers(-2, h + 3, n) + rng.integers(0, 4, n) / 4
+                    rings.append([float(v) for xy in zip(xs, ys) for v in xy])
+            polys.append(polygon_set(rings))
+        per_image.append(polys)
+    return frames, per_image
+
+
+class TestNtrWindow:
+    """ntr opens each polygon on its tight window; the fused output is
+    that of the opening on the full frame."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_ntr_case())
+    def test_matches_full_frame_opening(self, case):
+        frames, per_image = case
+        ds, sets = _scene(frames, [per_image])
+        params = preset_params("ntr")
+        expected = []
+        for image, inst in ((image, inst) for image in ds.images
+                            for inst in sets[0].instances_for(image.id)):
+            opened = morphology(rasterize(inst.segmentation, image.width, image.height),
+                                "open", params.open_kernel, params.open_iterations)
+            if opened.any():
+                expected.append((image.id, trace_largest_contour(opened), inst.score))
+        fused = run_preset("ntr", ds, sets, SEGMENTATION, params)
+        assert repr([(p.image_id, p.segmentation, p.score) for p in fused.instances]) == \
+               repr(expected)
+

@@ -485,11 +485,19 @@ def reference_morphology(mask, op, size, iterations):
 
 @st.composite
 def _morphology_case(draw):
-    """A frame (some shorter or narrower than a 5x5 element) holding a
-    rectangle flush with one chosen edge, a second free rectangle and
-    sparse noise."""
+    """A frame (some shorter or narrower than the element, some exactly
+    one side wide or one cell narrower) holding a rectangle flush with
+    one chosen edge, a second free rectangle and sparse noise.  Sides run
+    from 1 to 33, among them 2**k + 1 (5, 9, 17, 33) and 2**(k+1) - 1
+    (3, 7): the shortest and the longest last combine of the doubling."""
+    op, size, iterations = (draw(st.sampled_from(["open", "close"])),
+                            draw(st.sampled_from([1, 3, 5, 7, 9])), draw(st.integers(1, 4)))
+    side = (size // 2) * iterations * 2 + 1
+    fit = st.sampled_from(sorted({side, max(side - 1, 1)}))
     h, w = draw(st.sampled_from([(4, 40), (40, 4), (2, 30), (30, 2)])
-                | st.tuples(st.integers(1, 24), st.integers(1, 24)))
+                | st.tuples(st.integers(1, 24), st.integers(1, 24))
+                | st.tuples(fit, st.integers(1, 40))
+                | st.tuples(st.integers(1, 40), fit))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
     for edge in (draw(st.sampled_from(["top", "bottom", "left", "right"])), None):
@@ -498,8 +506,7 @@ def _morphology_case(draw):
         y0, y1 = {"top": (0, y1), "bottom": (y0, h)}.get(edge, (y0, y1))
         x0, x1 = {"left": (0, x1), "right": (x0, w)}.get(edge, (x0, x1))
         mask[y0:y1, x0:x1] = True
-    return mask, draw(st.sampled_from(["open", "close"])), \
-        draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 3))
+    return mask, op, size, iterations
 
 
 @st.composite
@@ -622,6 +629,16 @@ class TestMorphology:
         assert time.perf_counter() - t0 < 1.0
         assert int(got.sum()) == expected
         assert np.array_equal(got, reference_morphology(m, op, size, min(iterations, 60)))
+
+    @pytest.mark.parametrize("op,size,iterations", [("close", 5, 1), ("open", 5, 3)])
+    def test_frame_filling_blob_memory_is_bounded(self, op, size, iterations):
+        yy, xx = np.ogrid[:3000, :3000]
+        m = (yy - 1500) ** 2 + (xx - 1500) ** 2 < 1490 ** 2
+        m[::97, ::89] = False
+        out = []
+        peak = traced_peak_bytes(lambda: out.append(morphology(m, op, size, iterations)))
+        assert out[0].any()
+        assert peak < 4 * m.size
 
     def test_short_frame_loop_does_not_crash(self):
         # scipy's iterated binary dilation has corrupted memory on 4-row
