@@ -158,7 +158,7 @@ def paint_runs(masks: Sequence[RunMask], height: int, width: int,
     rows, starts, ends = (np.concatenate([getattr(m, name) for m in masks])
                           for name in ("rows", "starts", "ends"))
     if len(masks) > 1:  # runs of different masks may overlap
-        rows, starts, ends = _union(rows, starts, ends)
+        rows, starts, ends = _union(rows, starts, ends, masks[0].shape)
     first = (rows - y0) * width + (starts - x0)
     bounds = np.empty(2 * len(first) + 2, dtype=np.int64)
     bounds[0], bounds[-1] = 0, height * width
@@ -175,22 +175,39 @@ MAX_COORDINATE = 2.0 ** 64
 # The most edge-row crossings one numpy pass of the rasterizer holds, a
 # few MB of working arrays; a polygon with more crossings runs alone.
 _PASS_CROSSINGS = 1 << 16
+# The most vertices the rasterizer reads ahead of a yield, a few MB of
+# per-edge arrays; a polygon with more is read alone.
+_CHUNK_VERTICES = 1 << 14
 
 
 def rasterize_runs_many(items: Iterable[tuple[PolygonSet, int, int]]) -> Iterator[RunMask]:
     """Yield :func:`rasterize_runs` of each ``(polygon, width, height)``,
     in order.
 
-    The polygons share numpy passes of at most ``_PASS_CROSSINGS``
-    edge-row crossings each (a polygon with more runs alone), so working
-    memory stays bounded however many are given.  Raises
-    :class:`CoordinateBoundError` for a vertex that is not finite or lies
-    beyond ``MAX_COORDINATE``, and ``ValueError`` for a frame side outside
-    ``[1, MAX_IMAGE_SIDE]``.
+    ``items`` is read in chunks of at most ``_CHUNK_VERTICES`` vertices
+    (a polygon with more is read alone), and a chunk's polygons share
+    numpy passes of at most ``_PASS_CROSSINGS`` edge-row crossings each
+    (a polygon with more runs alone), so working memory stays bounded
+    however many are given.  Raises :class:`CoordinateBoundError` for a
+    vertex that is not finite or lies beyond ``MAX_COORDINATE``, and
+    ``ValueError`` for a frame side outside ``[1, MAX_IMAGE_SIDE]``, when
+    the chunk holding it is read.
     """
-    items = list(items)
-    if not items:
-        return
+    chunk, vertices = [], 0
+    for item in items:
+        size = sum(map(len, item[0].rings)) // 2
+        if chunk and vertices + size > _CHUNK_VERTICES:
+            yield from _rasterize_chunk(chunk)
+            chunk, vertices = [], 0
+        chunk.append(item)
+        vertices += size
+    if chunk:
+        yield from _rasterize_chunk(chunk)
+
+
+def _rasterize_chunk(items: list[tuple[PolygonSet, int, int]]) -> Iterator[RunMask]:
+    """The run masks of a non-empty list of items, in passes of at most
+    ``_PASS_CROSSINGS`` crossings."""
     frames = [(w, h) for _, w, h in items]
     if not all(1 <= w <= MAX_IMAGE_SIDE and 1 <= h <= MAX_IMAGE_SIDE for w, h in frames):
         raise ValueError(f"grid dimensions must be between 1 and {MAX_IMAGE_SIDE}")
@@ -284,29 +301,37 @@ def rasterize_runs_many(items: Iterable[tuple[PolygonSet, int, int]]) -> Iterato
         a = 0
         for (_, w, h), n_rings, b in zip(items[k0:k1], ring_counts[k0:k1], bounds):
             mask = rows[a:b], starts[a:b], ends[a:b]
-            yield RunMask(w, h, *(_union(*mask) if n_rings > 1 else mask))
+            yield RunMask(w, h, *(_union(*mask, (h, w)) if n_rings > 1 else mask))
             a = b
         k0, e0, c0 = k1, e1, c1
 
 
-def _sweep(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+def _sweep(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray, shape: tuple[int, int]
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The run ends of ``(rows, starts, ends)`` in (row, col) order, as
-    ``(row, col, delta, cover)``: ``delta`` is +1 at a start and -1 at an
-    end, and ``cover`` counts the runs open just after each end.  lexsort
-    is stable and the starts come first, so at a tie a start precedes an
-    end."""
+    """The run ends of ``(rows, starts, ends)`` on a ``shape`` frame in
+    (row, col) order, as ``(row, col, delta, cover)``: ``delta`` is +1 at
+    a start and -1 at an end, and ``cover`` counts the runs open just
+    after each end.  The sort is stable and the starts come first, so at
+    a tie a start precedes an end."""
+    height, width = shape
     rows, cols = np.concatenate((rows, rows)), np.concatenate((starts, ends))
-    order = np.lexsort((cols, rows))
+    if height * (width + 1) < 2 ** 63:
+        # One int64 key, row * (width + 1) + col; the halves are sorted
+        # runs of it, which the stable sort merges.
+        key = rows * np.int64(width + 1)
+        key += cols
+        order = key.argsort(kind="stable")
+    else:
+        order = np.lexsort((cols, rows))
     delta = np.repeat(np.array([1, -1], dtype=np.int64), len(starts))[order]
     return rows[order], cols[order], delta, np.cumsum(delta)
 
 
-def _union(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+def _union(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray, shape: tuple[int, int]
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The union of possibly overlapping runs: a run opens where the
-    count rises to 1 and closes where it falls to 0."""
-    rows, cols, delta, cover = _sweep(rows, starts, ends)
+    """The union of possibly overlapping runs on a ``shape`` frame: a run
+    opens where the count rises to 1 and closes where it falls to 0."""
+    rows, cols, delta, cover = _sweep(rows, starts, ends, shape)
     opens = (delta == 1) & (cover == 1)
     return rows[opens], cols[opens], cols[(delta == -1) & (cover == 0)]
 
@@ -329,14 +354,15 @@ def rasterize(poly: PolygonSet, width: int, height: int) -> np.ndarray:
 
 
 def _run_intersection(a: RunMask, b: RunMask) -> int:
-    if not (a.rows.size and b.rows.size) or a.rows[-1] < b.rows[0] or b.rows[-1] < a.rows[0]:
+    if (not (a.rows.size and b.rows.size) or a.rows[-1] < b.rows[0] or b.rows[-1] < a.rows[0]
+            or a.ends.max() <= b.starts.min() or b.ends.max() <= a.starts.min()):
         return 0
     # Both masks cover the span up to the next end wherever the count is
     # 2.  The count is 0 at every row's last end, so no span reaches into
     # the next row.
     _, cols, _, cover = _sweep(np.concatenate((a.rows, b.rows)),
                                np.concatenate((a.starts, b.starts)),
-                               np.concatenate((a.ends, b.ends)))
+                               np.concatenate((a.ends, b.ends)), a.shape)
     return int(np.diff(cols)[cover[:-1] == 2].sum())
 
 
@@ -346,10 +372,9 @@ def mask_iou(a: RunMask, b: RunMask) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"mask shapes differ: {a.shape} vs {b.shape}")
     inter = _run_intersection(a, b)
-    union = a.area + b.area - inter
-    if union == 0:
+    if inter == 0:  # so 0.0 also when both are empty
         return 0.0
-    return inter / union
+    return inter / (a.area + b.area - inter)
 
 
 def box_iou(a: BBox, b: BBox) -> float:
@@ -452,8 +477,9 @@ def _foreground_window(mask: np.ndarray) -> tuple[slice, slice] | None:
     rows = np.flatnonzero(mask.any(axis=1))
     if not rows.size:
         return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+    band = slice(int(rows[0]), int(rows[-1]) + 1)
+    cols = np.flatnonzero(mask[band].any(axis=0))
+    return band, slice(int(cols[0]), int(cols[-1]) + 1)
 
 
 def connected_components(mask: np.ndarray) -> list[Component]:

@@ -15,7 +15,7 @@ import csv
 import io
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 from .coco import (
@@ -55,13 +55,16 @@ class ConfusionCounts:
     fn: int = 0
 
 
-def _mask_iou_rows(preds: Sequence[PredictionInstance],
-                   gts: Sequence[GroundTruthInstance],
-                   image: ImageRecord) -> list[list[float]]:
-    masks = list(rasterize_runs_many((inst.segmentation, image.width, image.height)
-                                     for inst in chain(preds, gts)))
-    pm, gm = masks[:len(preds)], masks[len(preds):]
-    return [[mask_iou(p, g) for g in gm] for p in pm]
+def _mask_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
+                   gt_groups: Sequence[Sequence[GroundTruthInstance]],
+                   images: Sequence[ImageRecord]) -> Iterator[list[list[float]]]:
+    preds = rasterize_runs_many((p.segmentation, image.width, image.height)
+                                for ps, image in zip(pred_groups, images) for p in ps)
+    gts = rasterize_runs_many((g.segmentation, image.width, image.height)
+                              for gs, image in zip(gt_groups, images) for g in gs)
+    for ps, gs in zip(pred_groups, gt_groups):
+        gm = list(islice(gts, len(gs)))
+        yield [[mask_iou(p, g) for g in gm] for p in islice(preds, len(ps))]
 
 
 def _iou_rows(task: str, pred_groups: Sequence[Sequence[PredictionInstance]],
@@ -69,15 +72,16 @@ def _iou_rows(task: str, pred_groups: Sequence[Sequence[PredictionInstance]],
               images: Sequence[ImageRecord]) -> Iterator[list[list[float]]]:
     """The IoU rows of each image in turn: image k's rows are its
     predictions in the given order, its columns its ground truths.  Box
-    IoU comes from one columnar pass over all images; mask IoU runs per
-    image, from one rasterizer call for its predictions and ground
-    truths."""
+    IoU comes from one columnar pass over all images.  Mask IoU reads
+    two rasterizer streams, one of the run's predictions and one of its
+    ground truths, image by image, so only one image's masks are alive
+    beside the rasterizer's bounded chunk."""
     if task == DETECTION:
         return box_pair_rows(
             list(map(len, pred_groups)), box_columns(p.bbox for ps in pred_groups for p in ps),
             list(map(len, gt_groups)), box_columns(g.bbox for gs in gt_groups for g in gs),
             box_iou_columns)
-    return map(_mask_iou_rows, pred_groups, gt_groups, images)
+    return _mask_iou_rows(pred_groups, gt_groups, images)
 
 
 def _greedy_pairs(rows: Sequence[Sequence[float]], tau: float

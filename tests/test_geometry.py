@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -283,7 +284,8 @@ def _raster_batch(draw):
     """Polygons, each on its own frame, for one rasterizer call: 1x1
     frames, rings reaching past every frame edge, multi-ring sets and at
     times a 10**12 x 10**12 frame, too large for the one-key sort; and a
-    crossing cap that may split the call into many passes."""
+    crossing cap and a vertex budget that may split the call into many
+    passes and chunks."""
     def item(width, height, extent):
         def coord(side):
             return draw(st.integers(-12, 4 * side + 12)) / 4
@@ -299,16 +301,32 @@ def _raster_batch(draw):
         items.append(item(width, height, (width, height)))
     if draw(st.booleans()):
         items.insert(draw(st.integers(0, len(items))), item(10 ** 12, 10 ** 12, (12, 12)))
-    return items, draw(st.sampled_from([1, 2, 5, 40, 1 << 16]))
+    return (items, draw(st.sampled_from([1, 2, 5, 40, 1 << 16])),
+            draw(st.sampled_from([1, 3, 8, 20, 1 << 14])))
+
+
+def _held_after_first_yield(items) -> int:
+    """The traced bytes that ``rasterize_runs_many(items)`` holds once it
+    has yielded its first mask."""
+    tracemalloc.start()
+    try:
+        masks = rasterize_runs_many(items)
+        next(masks)
+        held = tracemalloc.get_traced_memory()[0]
+        masks.close()
+        return held
+    finally:
+        tracemalloc.stop()
 
 
 class TestRasterizeMany:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_raster_batch())
     def test_matches_oracle_and_single_calls(self, case):
-        items, cap = case
+        items, cap, budget = case
         polys = [(poly(*rings), width, height) for rings, width, height in items]
-        with mock.patch.object(geometry, "_PASS_CROSSINGS", cap):
+        with mock.patch.object(geometry, "_PASS_CROSSINGS", cap), \
+                mock.patch.object(geometry, "_CHUNK_VERTICES", budget):
             masks = list(rasterize_runs_many(polys))
         assert len(masks) == len(items)
         for mask, (p, width, height), (rings, _, _) in zip(masks, polys, items):
@@ -321,6 +339,34 @@ class TestRasterizeMany:
 
     def test_empty_list(self):
         assert list(rasterize_runs_many([])) == []
+
+    def test_memory_after_first_yield_does_not_grow_with_items(self):
+        # Read whole, these 20,000 16-gons held about 50 MB after the
+        # first yield, every item's per-edge arrays; 2,000 held 8 MB.
+        angles = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        ring = tuple(np.column_stack((50 + 30 * np.cos(angles),
+                                      50 + 30 * np.sin(angles))).ravel().tolist())
+        items = [(PolygonSet((ring,)), 100, 100)] * 20_000
+        few, many = _held_after_first_yield(items[:2_000]), _held_after_first_yield(items)
+        assert many <= few * 1.1 + 2 ** 16
+        assert many < 8 * 2 ** 20
+
+    def test_items_are_read_in_chunks(self):
+        # With a budget of 8 vertices the squares go two to a chunk and
+        # the 9-vertex polygon goes alone; a chunk's masks are yielded
+        # once the item after it has been read, or the stream has ended.
+        square, triangles = poly([0, 0, 4, 0, 4, 4, 0, 4]), poly(*[[0, 0, 4, 0, 4, 4]] * 3)
+        read = []
+
+        def stream():
+            for k in range(7):
+                read.append(k)
+                yield (triangles if k == 4 else square), 8, 8
+
+        with mock.patch.object(geometry, "_CHUNK_VERTICES", 8):
+            seen = [(m.area, len(read)) for m in rasterize_runs_many(stream())]
+        tri = rasterize_runs(triangles, 8, 8).area
+        assert seen == [(16, 3), (16, 3), (16, 5), (16, 5), (tri, 6), (16, 7), (16, 7)]
 
     def test_polygon_without_rings_is_empty(self):
         square = poly([0, 0, 4, 0, 4, 4, 0, 4])
@@ -350,6 +396,89 @@ class TestRasterizeMany:
         for width, height in ((0, 8), (8, 0), (geometry.MAX_IMAGE_SIDE + 1, 8)):
             with pytest.raises(ValueError):
                 rasterize_runs(square, width, height)
+
+
+# Frames by how the sweep orders run ends: rows x (width + 1) below
+# 2**63 takes the one int64 key; from 2**63 on it falls back to lexsort.
+_SWEEP_FRAMES = [(2 ** 31 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 32 - 1), (2 ** 52, 2 ** 52),
+                 (2 ** 20, 2 ** 20)]
+
+
+@st.composite
+def _masks_on_frame(draw, count=st.integers(2, 4)):
+    """Run masks drawn as pixel windows of at most 5 x 7 at one offset of
+    a frame that is small, just below or at the size where the sweep's
+    one key falls back to lexsort, or far past it; returns the frame's
+    ``(height, width)``, the window's ``(y0, x0)`` and the masks."""
+    height, width = draw(st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 8)), st.sampled_from(_SWEEP_FRAMES)))
+    h, w = min(height, 5), min(width, 7)
+    y0, x0 = draw(st.integers(0, height - h)), draw(st.integers(0, width - w))
+    pixel = st.booleans()
+    masks = []
+    for _ in range(draw(count)):
+        window = np.array(draw(st.lists(st.lists(pixel, min_size=w, max_size=w),
+                                        min_size=h, max_size=h)), dtype=bool)
+        m = run_mask(window)
+        masks.append(geometry.RunMask(width, height, m.rows + y0, m.starts + x0, m.ends + x0))
+    return (height, width), (y0, x0), masks
+
+
+def _window_of(pixels, h, w, y0, x0):
+    out = np.zeros((h, w), dtype=bool)
+    for r, c in pixels:
+        out[r - y0, c - x0] = True
+    return out
+
+
+class TestSweep:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_masks_on_frame())
+    def test_both_orderings_match_the_painted_pixels(self, case):
+        (height, width), (y0, x0), masks = case
+        pixels = [_pixels_of(m) for m in masks]
+        everything = set().union(*pixels)
+        h, w = min(height, 5), min(width, 7)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            for a, pa in zip(masks, pixels):
+                for b, pb in zip(masks, pixels):
+                    assert mask_iou(a, b) == pixel_iou(pa, pb)
+            rows, starts, ends = geometry._union(
+                *(np.concatenate([getattr(m, k) for m in masks])
+                  for k in ("rows", "starts", "ends")), (height, width))
+            painted = paint_runs(masks, h, w, y0, x0)
+        assert lexsort.called == (height * (width + 1) >= 2 ** 63)
+        union = geometry.RunMask(width, height, rows, starts, ends)
+        assert _pixels_of(union) == everything
+        # sorted by (row, start), and no two runs of a row meet
+        assert (starts < ends).all()
+        same_row = rows[1:] == rows[:-1]
+        assert (rows[1:] >= rows[:-1]).all() and (starts[1:][same_row] > ends[:-1][same_row]).all()
+        assert np.array_equal(painted, _window_of(everything, h, w, y0, x0))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_masks_on_frame(count=st.just(2)), st.integers(1, 6), st.integers(0, 2))
+    def test_column_disjoint_masks_skip_the_sweep(self, case, split, gap):
+        # Mask a keeps the columns left of x0 + split and sets one pixel
+        # in the last of them; mask b starts `gap` columns further right,
+        # so gap 0 has a's last end equal to b's first start.
+        (height, width), (y0, x0), (a, b) = case
+        split = min(split, min(width, 7) - 1 - gap)
+        if split < 1:
+            return
+        cut = x0 + split
+        left = {(r, c) for r, c in _pixels_of(a) if c < cut} | {(y0, cut - 1)}
+        right = {(r, c) for r, c in _pixels_of(b) if c >= cut + gap} | {(y0, cut + gap)}
+
+        def mask(pixels):
+            return geometry.RunMask(width, height, *(np.array(v, dtype=np.int64) for v in zip(
+                *sorted((r, c, c + 1) for r, c in pixels))))
+
+        a, b = mask(left), mask(right)
+        assert a.ends.max() == cut and b.starts.min() == cut + gap
+        with mock.patch.object(geometry, "_sweep", wraps=geometry._sweep) as sweep:
+            assert mask_iou(a, b) == mask_iou(b, a) == 0.0 == pixel_iou(left, right)
+        assert not sweep.called
 
 
 def _box():

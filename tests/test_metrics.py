@@ -2,12 +2,17 @@ import csv
 import io
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detsegeval import geometry
 from detsegeval.coco import (
     DETECTION,
+    SEGMENTATION,
+    GroundTruthInstance,
+    ImageRecord,
     PredictionInstance,
     PredictionSet,
     load_ground_truth,
@@ -15,7 +20,7 @@ from detsegeval.coco import (
     parse_predictions,
 )
 from detsegeval.errors import EmptyInputError
-from detsegeval.geometry import BBox, box_iou
+from detsegeval.geometry import BBox, box_iou, mask_iou, rasterize_runs
 from detsegeval.metrics import (
     HEADLINE_THRESHOLD,
     THRESHOLDS,
@@ -50,12 +55,10 @@ def _counts_at(ds, preds, tau):
 
 
 def _img(width=100, height=100):
-    from detsegeval.coco import ImageRecord
     return ImageRecord(1, width, height, "img.jpg")
 
 
 def _gt(gt_id, bbox):
-    from detsegeval.coco import GroundTruthInstance
     x, y, w, h = bbox
     return GroundTruthInstance(
         gt_id, 1, BBox(x, y, w, h),
@@ -198,7 +201,53 @@ def _image_boxes(draw):
     return preds, gts
 
 
+@st.composite
+def _seg_run(draw):
+    """Images of up to 12 x 12 px, each with 0-3 predictions and 0-3
+    ground truths of 1-2 rings on a quarter-pixel grid that reaches past
+    the frame; a crossing cap and a vertex budget small enough that
+    passes and chunks end inside one image's group."""
+    def polygon(width, height):
+        def coord(side):
+            return draw(st.integers(-8, 4 * side + 8)) / 4
+        return polygon_set([[v for _ in range(draw(st.integers(3, 5)))
+                             for v in (coord(width), coord(height))]
+                            for _ in range(draw(st.integers(1, 2)))])
+
+    images, pred_groups, gt_groups = [], [], []
+    for k in range(draw(st.integers(1, 5))):
+        width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        images.append(ImageRecord(k + 1, width, height, "img.jpg"))
+        pred_groups.append([PredictionInstance(k + 1, 0.5, 1, i,
+                                               segmentation=polygon(width, height))
+                            for i in range(draw(st.integers(0, 3)))])
+        gt_groups.append([GroundTruthInstance(j + 1, k + 1, BBox(0, 0, 1, 1),
+                                              polygon(width, height), 1)
+                          for j in range(draw(st.integers(0, 3)))])
+    return (images, pred_groups, gt_groups, draw(st.sampled_from([1, 3, 40, 1 << 16])),
+            draw(st.sampled_from([1, 4, 9, 1 << 14])))
+
+
 class TestColumnarCore:
+    @_deterministic
+    @given(_seg_run())
+    def test_mask_iou_rows_equal_pairwise_mask_iou(self, case):
+        images, pred_groups, gt_groups, cap, budget = case
+        with mock.patch.object(geometry, "_PASS_CROSSINGS", cap), \
+                mock.patch.object(geometry, "_CHUNK_VERTICES", budget):
+            rows = list(_iou_rows(SEGMENTATION, pred_groups, gt_groups, images))
+        expected, oracle = [], []
+        for image, ps, gs in zip(images, pred_groups, gt_groups):
+            size = image.width, image.height
+            expected.append([[mask_iou(rasterize_runs(p.segmentation, *size),
+                                       rasterize_runs(g.segmentation, *size))
+                              for g in gs] for p in ps])
+            pixels = [[ref.polygon_pixels(inst.segmentation.rings, *size) for inst in group]
+                      for group in (ps, gs)]
+            oracle.append([[ref.pixel_iou(p, g) for g in pixels[1]] for p in pixels[0]])
+        assert rows == expected == oracle
+
+
     @_deterministic
     @given(st.lists(_image_boxes(), max_size=4))
     def test_box_iou_rows_equal_pairwise_box_iou(self, images):
