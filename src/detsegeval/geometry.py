@@ -422,7 +422,22 @@ def box_ioa_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def box_columns(boxes: Iterable[BBox]) -> np.ndarray:
     """Boxes as the ``(M, 4)`` float64 rows the column measures take."""
-    return np.array(list(boxes), dtype=np.float64).reshape(-1, 4)
+    return np.fromiter(chain.from_iterable(boxes), np.float64).reshape(-1, 4)
+
+
+def group_pairs(sizes_a: Sequence[int], sizes_b: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The row numbers in ``a`` and in ``b`` of every same-group pair,
+    group by group and, within a group, row-major.  Group k holds the
+    next ``sizes_a[k]`` rows of ``a`` and the next ``sizes_b[k]`` of
+    ``b``, so its ``sizes_a[k] * sizes_b[k]`` pairs follow those of
+    group k - 1."""
+    n_a = np.array(sizes_a, dtype=np.int64)
+    n_b = np.array(sizes_b, dtype=np.int64)
+    width = np.repeat(n_b, n_a)  # each row of a pairs with its group's rows of b
+    rows = np.repeat(np.arange(len(width)), width)
+    # Pair p of row r is the column p - (r's first pair) + (first row of b in r's group).
+    shift = np.repeat(np.cumsum(n_b) - n_b, n_a) - (np.cumsum(width) - width)
+    return rows, np.arange(len(rows)) + np.repeat(shift, width)
 
 
 def box_pair_rows(sizes_a: Sequence[int], boxes_a: np.ndarray,
@@ -432,20 +447,14 @@ def box_pair_rows(sizes_a: Sequence[int], boxes_a: np.ndarray,
     :func:`box_columns` array ``boxes_a`` and the next ``sizes_b[k]`` of
     ``boxes_b``; its item is ``rows[i][j] = measure(a_i, b_j)`` for a
     column measure such as :func:`box_iou_columns`."""
-    n_a = np.array(sizes_a, dtype=np.int64)
-    n_b = np.array(sizes_b, dtype=np.int64)
-    n_pair = n_a * n_b
-    pair_start = np.cumsum(n_pair) - n_pair
-    # Pair p of group k is (row r, col c) with p - pair_start[k] = r * n_b[k] + c.
-    local = np.arange(int(n_pair.sum())) - np.repeat(pair_start, n_pair)
-    width = np.repeat(n_b, n_pair)
-    rows = np.repeat(np.cumsum(n_a) - n_a, n_pair) + local // width
-    cols = np.repeat(np.cumsum(n_b) - n_b, n_pair) + local % width
+    rows, cols = group_pairs(sizes_a, sizes_b)
     flat = measure(boxes_a[rows], boxes_b[cols]).tolist()
     # Each group's rows are built as they are read, so a run's rows are
     # never all alive at once.
-    for start, n, w in zip(pair_start.tolist(), n_a.tolist(), n_b.tolist()):
+    start = 0
+    for n, w in zip(sizes_a, sizes_b):
         yield [flat[start + i * w:start + (i + 1) * w] for i in range(n)]
+        start += n * w
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,9 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .coco import (
     DETECTION,
@@ -29,7 +31,7 @@ from .coco import (
     to_json,
 )
 from .errors import EmptyInputError
-from .geometry import box_columns, box_iou_columns, box_pair_rows, mask_iou, rasterize_runs_many
+from .geometry import box_columns, box_iou_columns, group_pairs, mask_iou, rasterize_runs_many
 
 # The challenge's definition: the composite score is the mean of F1 and
 # F2 at the headline threshold and over the 0.40:0.95 range.
@@ -39,6 +41,7 @@ HEADLINE_THRESHOLD = 0.50
 THRESHOLDS = tuple(round(0.40 + 0.05 * i, 2) for i in range(12))
 # The report's key of each threshold, formatted once, not per image.
 _THRESHOLD_KEYS = {tau: f"{tau:.2f}" for tau in THRESHOLDS}
+_TAUS = np.array(THRESHOLDS, dtype=np.float64)
 
 
 @dataclass
@@ -55,33 +58,30 @@ class ConfusionCounts:
     fn: int = 0
 
 
-def _mask_iou_rows(pred_groups: Sequence[Sequence[PredictionInstance]],
-                   gt_groups: Sequence[Sequence[GroundTruthInstance]],
-                   images: Sequence[ImageRecord]) -> Iterator[list[list[float]]]:
+def _iou_column(task: str, pred_groups: Sequence[Sequence[PredictionInstance]],
+                gt_groups: Sequence[Sequence[GroundTruthInstance]],
+                images: Sequence[ImageRecord]) -> np.ndarray:
+    """The IoU of every same-image (prediction, ground truth) pair as one
+    float64 array, image by image and, within an image, row-major: rows
+    are its predictions in the given order, columns its ground truths.
+    Box IoU comes from one columnar pass over all images.  Mask IoU
+    reads two rasterizer streams, one of the run's predictions and one
+    of its ground truths, image by image, so only one image's masks are
+    alive beside the rasterizer's bounded chunk."""
+    if task == DETECTION:
+        rows, cols = group_pairs(list(map(len, pred_groups)), list(map(len, gt_groups)))
+        pred_boxes = box_columns(p.bbox for ps in pred_groups for p in ps)
+        gt_boxes = box_columns(g.bbox for gs in gt_groups for g in gs)
+        return box_iou_columns(pred_boxes[rows], gt_boxes[cols])
     preds = rasterize_runs_many((p.segmentation, image.width, image.height)
                                 for ps, image in zip(pred_groups, images) for p in ps)
     gts = rasterize_runs_many((g.segmentation, image.width, image.height)
                               for gs, image in zip(gt_groups, images) for g in gs)
+    ious = []
     for ps, gs in zip(pred_groups, gt_groups):
         gm = list(islice(gts, len(gs)))
-        yield [[mask_iou(p, g) for g in gm] for p in islice(preds, len(ps))]
-
-
-def _iou_rows(task: str, pred_groups: Sequence[Sequence[PredictionInstance]],
-              gt_groups: Sequence[Sequence[GroundTruthInstance]],
-              images: Sequence[ImageRecord]) -> Iterator[list[list[float]]]:
-    """The IoU rows of each image in turn: image k's rows are its
-    predictions in the given order, its columns its ground truths.  Box
-    IoU comes from one columnar pass over all images.  Mask IoU reads
-    two rasterizer streams, one of the run's predictions and one of its
-    ground truths, image by image, so only one image's masks are alive
-    beside the rasterizer's bounded chunk."""
-    if task == DETECTION:
-        return box_pair_rows(
-            list(map(len, pred_groups)), box_columns(p.bbox for ps in pred_groups for p in ps),
-            list(map(len, gt_groups)), box_columns(g.bbox for gs in gt_groups for g in gs),
-            box_iou_columns)
-    return _mask_iou_rows(pred_groups, gt_groups, images)
+        ious.extend(mask_iou(p, g) for p in islice(preds, len(ps)) for g in gm)
+    return np.array(ious, dtype=np.float64)
 
 
 def _greedy_pairs(rows: Sequence[Sequence[float]], tau: float
@@ -110,18 +110,55 @@ def _greedy_tp_by_threshold(rows: Sequence[Sequence[float]],
 
     The greedy result depends only on which entries reach tau, and those
     sets shrink as tau rises; two thresholds with equally many passing
-    entries therefore pass the same set and share one greedy run."""
+    entries therefore pass the same set and share one greedy run.  With
+    fewer than two passing entries nothing can compete; :func:`_tp_table`
+    widens that rule to whole images and calls this only for the rest."""
     values = sorted(v for row in rows for v in row)
     tps = []
     last_passing, tp = -1, 0
     for tau in taus:
         passing = len(values) - bisect_left(values, tau)
         if passing != last_passing:
-            # With fewer than two passing entries nothing can compete.
             tp = passing if passing < 2 else len(_greedy_pairs(rows, tau))
             last_passing = passing
         tps.append(tp)
     return tps
+
+
+def _tp_table(ious: np.ndarray, pred_counts: Sequence[int],
+              gt_counts: Sequence[int]) -> np.ndarray:
+    """The greedy true-positive count of each image (a row) at each of
+    ``THRESHOLDS`` (a column), from the run's :func:`_iou_column`; image
+    k has ``pred_counts[k]`` predictions and ``gt_counts[k]`` ground
+    truths.
+
+    One numpy pass counts, for each image and threshold, the IoUs that
+    reach it (``v >= tau``, so a NaN reaches none).  An image is
+    clash-free when no prediction and no ground truth holds two IoUs that
+    reach ``THRESHOLDS[0]``.  There no claim competes at any threshold,
+    and as every threshold is positive each reaching IoU is a match, so
+    the count is the greedy count.  Only the other images are matched by
+    :func:`_greedy_tp_by_threshold`."""
+    n_pair = np.array(pred_counts, dtype=np.int64) * np.array(gt_counts, dtype=np.int64)
+    pair_image = np.repeat(np.arange(len(n_pair)), n_pair)
+    reached = ious[:, None] >= _TAUS
+    # hist[k, m]: the pairs of image k that reach exactly m thresholds,
+    # which are the lowest m as the thresholds ascend.
+    levels = len(THRESHOLDS) + 1
+    hist = np.bincount(pair_image * levels + np.count_nonzero(reached, axis=1),
+                       minlength=len(n_pair) * levels).reshape(-1, levels)
+    # tp[k, t] sums hist[k, t + 1:], the pairs that reach THRESHOLDS[t].
+    tp = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+
+    rows, cols = group_pairs(pred_counts, gt_counts)
+    first = reached[:, 0]
+    rows, cols = rows[first], cols[first]
+    clash = (np.bincount(rows)[rows] > 1) | (np.bincount(cols)[cols] > 1)
+    ends = np.cumsum(n_pair)
+    for k in set(pair_image[first][clash].tolist()):
+        image_rows = ious[ends[k] - n_pair[k]:ends[k]].reshape(pred_counts[k], gt_counts[k])
+        tp[k] = _greedy_tp_by_threshold(image_rows.tolist(), THRESHOLDS)
+    return tp
 
 
 def match_image(preds: Sequence[PredictionInstance],
@@ -132,7 +169,7 @@ def match_image(preds: Sequence[PredictionInstance],
     ``preds`` must already be in descending-score order.
     """
     gts = sorted(gts, key=lambda g: g.id)
-    rows = next(_iou_rows(task, [preds], [gts], [image]))
+    rows = _iou_column(task, [preds], [gts], [image]).reshape(len(preds), len(gts)).tolist()
     raw = _greedy_pairs(rows, tau)
     matched_preds = {i for i, _, _ in raw}
     matched_gts = {j for _, j, _ in raw}
@@ -271,25 +308,28 @@ def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
     thresholds: confusion counts and F-scores at each threshold, summed
     over the dataset and per image.
 
-    Each image's IoU rows are computed once and serve every threshold.
-    Counts are aggregated in dataset image order.
+    The IoU of every same-image pair is computed once, as one flat
+    column (:func:`_iou_column`), and serves every threshold.  The greedy
+    match runs only on the images where two claims compete
+    (:func:`_tp_table`); elsewhere the count of IoUs that reach a
+    threshold is the true-positive count.  Counts are aggregated in
+    dataset image order.
     """
     images = dataset.images
     pred_groups = [preds.instances_for(image.id) for image in images]
     # Dataset keeps each image's ground truths in id order, the column
     # order in which _greedy_pairs breaks ties.
     gt_groups = [dataset.instances_for(image.id) for image in images]
-    image_rows = _iou_rows(preds.task, pred_groups, gt_groups, images)
-
-    per_image: dict[int, dict[float, tuple[int, int, int]]] = {}
-    tp_sums = [0] * len(THRESHOLDS)
-    for image, ps, gs, rows in zip(images, pred_groups, gt_groups, image_rows):
-        tps = _greedy_tp_by_threshold(rows, THRESHOLDS)
-        per_image[image.id] = {tau: (tp, len(ps) - tp, len(gs) - tp)
-                               for tau, tp in zip(THRESHOLDS, tps)}
-        tp_sums = [a + b for a, b in zip(tp_sums, tps)]
-    n_pred = sum(map(len, pred_groups))
-    n_gt = sum(map(len, gt_groups))
+    pred_counts = list(map(len, pred_groups))
+    gt_counts = list(map(len, gt_groups))
+    table = _tp_table(_iou_column(preds.task, pred_groups, gt_groups, images),
+                      pred_counts, gt_counts)
+    per_image: dict[int, dict[float, tuple[int, int, int]]] = {
+        image.id: {tau: (tp, n_p - tp, n_g - tp) for tau, tp in zip(THRESHOLDS, tps)}
+        for image, n_p, n_g, tps in zip(images, pred_counts, gt_counts, table.tolist())}
+    tp_sums = table.sum(axis=0).tolist()
+    n_pred = sum(pred_counts)
+    n_gt = sum(gt_counts)
     per_threshold = []
     for tau, tp in zip(THRESHOLDS, tp_sums):
         counts = ConfusionCounts(tp, n_pred - tp, n_gt - tp)

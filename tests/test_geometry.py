@@ -543,6 +543,14 @@ class TestBoxOverlap:
         cols = box_ioa_columns(box_columns(a for a, _ in pairs), box_columns(b for _, b in pairs))
         assert [v.hex() for v in cols.tolist()] == [box_ioa(a, b).hex() for a, b in pairs]
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_box(), max_size=8))
+    def test_box_columns_hold_each_box_as_a_float64_row(self, boxes):
+        cols = box_columns(iter(boxes))
+        assert cols.dtype == np.float64 and cols.shape == (len(boxes), 4)
+        assert [[v.hex() for v in row] for row in cols.tolist()] == \
+            [[float(v).hex() for v in box] for box in boxes]
+
     @pytest.mark.parametrize("b", [
         BBox(0, 0, 1e-200, 1e-200),       # the area underflows to 0
         BBox(0, 0, 1e-160, 1e-160),       # a subnormal intersection and area

@@ -5,7 +5,8 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from detsegeval import geometry
 from detsegeval.coco import (
@@ -28,7 +29,8 @@ from detsegeval.metrics import (
     MetricsReport,
     _greedy_pairs,
     _greedy_tp_by_threshold,
-    _iou_rows,
+    _iou_column,
+    _tp_table,
     evaluate,
     f_beta,
     final_score,
@@ -228,6 +230,36 @@ def _seg_run(draw):
             draw(st.sampled_from([1, 4, 9, 1 << 14])))
 
 
+def _image_rows(column, pred_groups, gt_groups):
+    """Each image's slice of an :func:`_iou_column` as its IoU rows."""
+    rows, start = [], 0
+    for ps, gs in zip(pred_groups, gt_groups):
+        end = start + len(ps) * len(gs)
+        rows.append(column[start:end].reshape(len(ps), len(gs)).tolist())
+        start = end
+    assert start == len(column)
+    return rows
+
+
+# IoUs on the thresholds' lattice: 0, each threshold, the float just
+# below each threshold, and 1, so ties and values exactly at a threshold
+# are common.
+_LATTICE = (0.0, 1.0, *THRESHOLDS, *np.nextafter(THRESHOLDS, 0.0).tolist())
+
+
+@st.composite
+def _lattice_run(draw):
+    """0-5 images, each with 0-5 predictions and 0-5 ground truths, as
+    (prediction count, ground-truth count, IoU rows)."""
+    run = []
+    for _ in range(draw(st.integers(0, 5))):
+        n_pred, n_gt = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        run.append((n_pred, n_gt, draw(st.lists(
+            st.lists(st.sampled_from(_LATTICE), min_size=n_gt, max_size=n_gt),
+            min_size=n_pred, max_size=n_pred))))
+    return run
+
+
 class TestColumnarCore:
     @_deterministic
     @given(_seg_run())
@@ -235,7 +267,9 @@ class TestColumnarCore:
         images, pred_groups, gt_groups, cap, budget = case
         with mock.patch.object(geometry, "_PASS_CROSSINGS", cap), \
                 mock.patch.object(geometry, "_CHUNK_VERTICES", budget):
-            rows = list(_iou_rows(SEGMENTATION, pred_groups, gt_groups, images))
+            column = _iou_column(SEGMENTATION, pred_groups, gt_groups, images)
+        assert column.dtype == np.float64
+        rows = _image_rows(column, pred_groups, gt_groups)
         expected, oracle = [], []
         for image, ps, gs in zip(images, pred_groups, gt_groups):
             size = image.width, image.height
@@ -254,8 +288,30 @@ class TestColumnarCore:
         pred_groups = [[_pred(0.5, b.as_list(), i) for i, b in enumerate(ps)]
                        for ps, _ in images]
         gt_groups = [[_gt(j + 1, b.as_list()) for j, b in enumerate(gs)] for _, gs in images]
-        rows = list(_iou_rows(DETECTION, pred_groups, gt_groups, [_img()] * len(images)))
+        column = _iou_column(DETECTION, pred_groups, gt_groups, [_img()] * len(images))
+        assert column.dtype == np.float64
+        rows = _image_rows(column, pred_groups, gt_groups)
         assert rows == [[[box_iou(a, b) for b in gs] for a in ps] for ps, gs in images]
+
+    @_deterministic
+    @given(_lattice_run())
+    # A clash-free image: one passing IoU per row and per column.
+    @example([(3, 3, [[0.9, 0.0, 0.4], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]])])
+    # A row clash and a column clash, each with a tie.
+    @example([(1, 2, [[0.6, 0.6]]), (2, 1, [[0.45], [0.45]])])
+    # Clashes at 0.40 only: above it each row and column passes once.
+    @example([(2, 2, [[0.4, 0.95], [0.7, 0.4]]), (2, 2, [[0.4, 0.0], [0.4, 0.8]])])
+    # An image past the clash check where the greedy count falls short of
+    # the passing count.
+    @example([(2, 2, [[0.8, 0.9], [0.0, 0.8]]), (0, 3, []), (4, 0, [[]] * 4)])
+    def test_tp_table_equals_greedy_at_every_threshold(self, run):
+        column = np.array([v for _, _, rows in run for row in rows for v in row],
+                          dtype=np.float64)
+        table = _tp_table(column, [n for n, _, _ in run], [n for _, n, _ in run])
+        assert table.shape == (len(run), len(THRESHOLDS))
+        assert table.tolist() == [
+            [ref.greedy_match_size_counts(rows, n_gt, tau)[0] for tau in THRESHOLDS]
+            for _, n_gt, rows in run]
 
     @_deterministic
     @given(st.data())
@@ -455,6 +511,24 @@ class TestEvaluate:
             assert tm.scores[1.0] == pytest.approx(f1, abs=1e-12)
             assert tm.scores[2.0] == pytest.approx(f2, abs=1e-12)
         assert mine.final == pytest.approx(theirs["final"], abs=1e-9)
+
+    @pytest.mark.parametrize("task", [DETECTION, SEGMENTATION])
+    def test_counts_are_exact_ints_at_every_threshold(self, tmp_path, task):
+        # A numpy integer would miss the report's per-image template and
+        # json.dumps cannot encode one.
+        from detsegeval.fixtures import generate_fixture
+        fx = generate_fixture(seed=99, n_images=6, max_instances=5)
+        ds = load_ground_truth(write_json_file(tmp_path / "gt.json", fx["gt"]))
+        items = fx["det" if task == DETECTION else "seg"]
+        preds = load_predictions(write_json_file(tmp_path / "p.json", items), ds, task)
+        report = evaluate(ds, preds)
+        assert list(report.per_image) == [im.id for im in ds.images]
+        for taus in report.per_image.values():
+            assert list(taus) == list(THRESHOLDS)
+            assert all(type(counts) is tuple and len(counts) == 3 for counts in taus.values())
+            assert all(type(x) is int for counts in taus.values() for x in counts)
+        assert all(type(x) is int for tm in report.per_threshold
+                   for x in (tm.counts.tp, tm.counts.fp, tm.counts.fn))
 
     def test_score_rescaling_invariance(self, tmp_path):
         from detsegeval.fixtures import generate_fixture
