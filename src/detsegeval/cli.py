@@ -189,8 +189,9 @@ def cmd_leaderboard(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "leaderboard.csv").write_text(leaderboard_csv(ranked), encoding="utf-8")
-    (out_dir / "leaderboard.md").write_text(leaderboard_markdown(ranked), encoding="utf-8")
-    print(leaderboard_markdown(ranked), end="")
+    markdown = leaderboard_markdown(ranked)
+    (out_dir / "leaderboard.md").write_text(markdown, encoding="utf-8")
+    print(markdown, end="")
     return 0
 
 

@@ -15,7 +15,7 @@ import csv
 import io
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -219,32 +219,14 @@ class ThresholdMetrics:
     scores: dict[float, float]  # beta -> F
 
 
-def _image_counts(taus: dict) -> dict:
-    """One image's entry of the report's ``per_image`` block."""
-    return {_THRESHOLD_KEYS.get(tau) or f"{tau:.2f}": list(counts)
-            for tau, counts in sorted(taus.items())}
-
-
 # One image's [tp, fp, fn] at each threshold as to_json writes them in
-# the per_image block, with slots for the counts in the keys' string order.
+# the per_image block, with slots for the counts in the keys' string order,
+# which is the order of THRESHOLDS.
 _IMAGE_ENTRY = to_json({key: ["%s"] * 3 for key in _THRESHOLD_KEYS.values()}
                        ).replace('"%s"', "%s").replace("\n", "\n    ")
-_KEY_ORDER = sorted(THRESHOLDS, key=_THRESHOLD_KEYS.get)
 
 
-def _image_json(taus: dict):
-    """``_image_counts(taus)``, from the template when it holds a triple of
-    exact ints at each of ``THRESHOLDS`` and no other threshold."""
-    if taus.keys() == _THRESHOLD_KEYS.keys():
-        triples = list(map(taus.__getitem__, _KEY_ORDER))
-        if set(map(len, triples)) == {3}:
-            counts = tuple(chain.from_iterable(triples))
-            if set(map(type, counts)) == {int}:
-                return JsonText(_IMAGE_ENTRY % counts)
-    return _image_counts(taus)
-
-
-@dataclass
+@dataclass(eq=False)
 class MetricsReport:
     task: str
     per_threshold: list[ThresholdMetrics]
@@ -253,21 +235,45 @@ class MetricsReport:
     f2_headline: float
     f2_range: float
     final: float
-    per_image: dict[int, dict[float, tuple[int, int, int]]]
+    image_ids: Sequence[int]
+    pred_counts: Sequence[int]     # image k's predictions
+    gt_counts: Sequence[int]       # image k's ground truths
+    tp_table: np.ndarray           # (images x 12): image k's TP count at each of THRESHOLDS
 
     def headline(self) -> tuple[float, float, float, float]:
         return (self.f1_headline, self.f1_range, self.f2_headline, self.f2_range)
 
+    def _counts(self) -> np.ndarray:
+        """(images x 12 x 3) int64: each image's (tp, fp, fn) at each of
+        ``THRESHOLDS``."""
+        tp = np.asarray(self.tp_table, dtype=np.int64)
+        n_p, n_g = np.array([self.pred_counts, self.gt_counts], dtype=np.int64)[:, :, None]
+        return np.stack((tp, n_p - tp, n_g - tp), axis=2)
+
+    @property
+    def per_image(self) -> dict[int, dict[float, tuple[int, int, int]]]:
+        """image id -> threshold -> (tp, fp, fn) as exact ints, built from
+        the table on each read."""
+        return {image_id: dict(zip(THRESHOLDS, map(tuple, rows)))
+                for image_id, rows in zip(self.image_ids, self._counts().tolist())}
+
     def to_dict(self) -> dict:
-        return self._as_dict(_image_counts)
+        return self._as_dict({
+            str(image_id): {_THRESHOLD_KEYS[tau]: list(counts) for tau, counts in taus.items()}
+            for image_id, taus in self.per_image.items()})
 
     def to_json(self) -> str:
-        """``to_json(self.to_dict())``, byte for byte, with each image of
-        the ``per_image`` block from one template where it fits."""
-        return to_json(self._as_dict(_image_json))
+        """``to_json(self.to_dict())``, byte for byte, with each image's
+        entry written from the table: each distinct row of counts is
+        formatted once from ``_IMAGE_ENTRY``."""
+        counts = self._counts().reshape(-1, 3 * len(THRESHOLDS))
+        rows = list(map(tuple, counts.tolist()))
+        texts = {row: JsonText(_IMAGE_ENTRY % row) for row in set(rows)}
+        return to_json(self._as_dict(dict(zip(map(str, self.image_ids),
+                                              map(texts.__getitem__, rows)))))
 
-    def _as_dict(self, image) -> dict:
-        """The report with ``image(taus)`` as each image's entry."""
+    def _as_dict(self, per_image) -> dict:
+        """The report with ``per_image`` as its per-image block."""
         return {
             "task": self.task,
             "headline_threshold": HEADLINE_THRESHOLD,
@@ -289,9 +295,7 @@ class MetricsReport:
                 "f2_range": self.f2_range,
                 "final_score": self.final,
             },
-            "per_image": {
-                str(image_id): image(taus) for image_id, taus in sorted(self.per_image.items())
-            },
+            "per_image": per_image,
         }
 
     def to_markdown(self, name: str = "submission") -> str:
@@ -324,9 +328,6 @@ def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
     gt_counts = list(map(len, gt_groups))
     table = _tp_table(_iou_column(preds.task, pred_groups, gt_groups, images),
                       pred_counts, gt_counts)
-    per_image: dict[int, dict[float, tuple[int, int, int]]] = {
-        image.id: {tau: (tp, n_p - tp, n_g - tp) for tau, tp in zip(THRESHOLDS, tps)}
-        for image, n_p, n_g, tps in zip(images, pred_counts, gt_counts, table.tolist())}
     tp_sums = table.sum(axis=0).tolist()
     n_pred = sum(pred_counts)
     n_gt = sum(gt_counts)
@@ -352,7 +353,10 @@ def evaluate(dataset: Dataset, preds: PredictionSet) -> MetricsReport:
         f2_headline=f2_h,
         f2_range=f2_r,
         final=final_score(f1_h, f1_r, f2_h, f2_r),
-        per_image=per_image,
+        image_ids=[image.id for image in images],
+        pred_counts=pred_counts,
+        gt_counts=gt_counts,
+        tp_table=table,
     )
 
 

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from detsegeval.cli import main
 from detsegeval.coco import DETECTION, load_ground_truth, load_predictions, parse_predictions
 from detsegeval.fixtures import generate_fixture
 from detsegeval.fusion import PRESETS, preset_params, run_preset
-from detsegeval.metrics import evaluate
+from detsegeval.metrics import MetricsReport, evaluate
 from conftest import (annotation, det_pred, image, make_gt, predictions_to_list, seg_pred,
                       write_json_file)
 
@@ -430,6 +431,42 @@ def test_outputs_are_sorted_indented_json(tmp_path):
     for name, obj in expected.items():
         assert (tmp_path / name).read_text(encoding="utf-8") == \
                json.dumps(obj, indent=2, sort_keys=True) + "\n", name
+
+
+def test_commands_write_the_report_without_reading_per_image(tmp_path):
+    """``score`` writes ``report.json`` from the TP table and
+    ``leaderboard`` writes no per-image counts, so with
+    ``MetricsReport.per_image`` raising each command exits 0 and writes
+    the bytes of a run without the patch; manifests differ only in their
+    timestamp."""
+    fixture = tmp_path / "fixture"
+    assert run(["gen-fixture", "--seed", 5, "--images", 12, "--out", fixture]) == 0
+    gt = fixture / "gt.json"
+    (tmp_path / "submissions").mkdir()
+    (tmp_path / "submissions" / "pred_det.json").write_bytes((fixture / "pred_det.json").read_bytes())
+
+    def outputs(out):
+        assert run(["score", gt, fixture / "pred_det.json", "--task", "det",
+                    "--out", out / "det"]) == 0
+        assert run(["score", gt, fixture / "pred_seg.json", "--task", "seg",
+                    "--out", out / "seg"]) == 0
+        assert run(["leaderboard", gt, tmp_path / "submissions", "--out", out / "board"]) == 0
+        files = {}
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                data = path.read_bytes()
+                if path.name == "manifest.json":
+                    data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+                files[path.relative_to(out)] = data
+        return files
+
+    def unread(report):
+        raise AssertionError("MetricsReport.per_image was read")
+
+    expected = outputs(tmp_path / "plain")
+    with mock.patch.object(MetricsReport, "per_image", property(unread)):
+        assert outputs(tmp_path / "patched") == expected
+    assert len(expected) == 8
 
 
 class TestFuse:

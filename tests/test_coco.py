@@ -660,40 +660,22 @@ _IMAGE_IDS = st.sampled_from([1, 2, 10, 11, 20, 100]) | st.integers(-5, 10 ** 12
 
 
 @st.composite
-def _threshold_counts(draw):
-    """One image's [tp, fp, fn] at each threshold, now and then with an
-    odd value, a list for a tuple, a 2- and a 4-count entry, a threshold
-    set other than THRESHOLDS, or a threshold off their grid."""
-    count = st.integers(0, 10 ** 6)
-    taus = {tau: draw(st.tuples(count, count, count)) for tau in THRESHOLDS}
-    kind = draw(st.sampled_from(["exact", "exact", "value", "list", "lengths", "subset",
-                                 "offgrid"]))
-    a, b = draw(st.lists(st.sampled_from(THRESHOLDS), min_size=2, max_size=2, unique=True))
-    if kind == "value":
-        i = draw(st.integers(0, 2))
-        taus[a] = taus[a][:i] + (draw(st.sampled_from(_ODD_NUMBERS)),) + taus[a][i + 1:]
-    elif kind == "list":
-        taus[a] = list(taus[a])
-    elif kind == "lengths":
-        taus[a], taus[b] = taus[a][:2], taus[b] + (7,)
-    elif kind == "subset":
-        taus = {tau: c for tau, c in taus.items() if draw(st.booleans())}
-    elif kind == "offgrid":
-        taus[draw(st.sampled_from([0.3, 0.97]))] = draw(st.tuples(count, count, count))
-    return taus
-
-
-@st.composite
 def _reports(draw):
+    """A report with odd floats now and then in its per-threshold scores
+    and headline, and a TP table of up to 6 images whose rows now and
+    then repeat."""
     score = st.floats() | st.sampled_from(_ODD_NUMBERS)
     per_threshold = [
         ThresholdMetrics(tau, ConfusionCounts(*draw(st.tuples(*[st.integers(0, 99)] * 3))),
                          {1.0: draw(score), 2.0: draw(score)})
         for tau in draw(st.lists(st.sampled_from(THRESHOLDS), max_size=3))]
     ids = draw(st.lists(_IMAGE_IDS, unique=True, max_size=6))
+    count = st.integers(0, 2) | st.integers(0, 10 ** 6)
+    pred_counts, gt_counts = ([draw(count) for _ in ids] for _ in range(2))
+    table = np.array([[draw(count) for _ in THRESHOLDS] for _ in ids],
+                     dtype=np.int64).reshape(len(ids), len(THRESHOLDS))
     return MetricsReport(draw(st.sampled_from(["detection", "segmentation"])), per_threshold,
-                         *(draw(score) for _ in range(5)),
-                         {image_id: draw(_threshold_counts()) for image_id in ids})
+                         *(draw(score) for _ in range(5)), ids, pred_counts, gt_counts, table)
 
 
 @st.composite
@@ -765,8 +747,9 @@ class TestWriteJson:
 
     @pytest.mark.parametrize("obj", [
         {"a": object()},
-        MetricsReport("detection", [], 0.0, 0.0, 0.0, 0.0, 0.0,
-                      {1: {tau: (1, 0, object()) for tau in THRESHOLDS}}),
+        MetricsReport("detection", [ThresholdMetrics(0.5, ConfusionCounts(1, 0, 0),
+                                                     {1.0: object()})],
+                      0.0, 0.0, 0.0, 0.0, 0.0, [], [], [], np.zeros((0, len(THRESHOLDS)))),
     ], ids=["dict", "report"])
     def test_failed_write_keeps_the_old_file(self, tmp_path, obj):
         path = tmp_path / "x.json"

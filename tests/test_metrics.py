@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import random
 import tracemalloc
 from unittest import mock
@@ -12,6 +13,7 @@ from detsegeval import geometry
 from detsegeval.coco import (
     DETECTION,
     SEGMENTATION,
+    Dataset,
     GroundTruthInstance,
     ImageRecord,
     PredictionInstance,
@@ -19,6 +21,7 @@ from detsegeval.coco import (
     load_ground_truth,
     load_predictions,
     parse_predictions,
+    write_json,
 )
 from detsegeval.errors import EmptyInputError
 from detsegeval.geometry import BBox, box_iou, mask_iou, rasterize_runs
@@ -530,6 +533,36 @@ class TestEvaluate:
         assert all(type(x) is int for tm in report.per_threshold
                    for x in (tm.counts.tp, tm.counts.fp, tm.counts.fn))
 
+    @_deterministic
+    @given(st.lists(st.tuples(st.sampled_from([-3, -1, 0, 2, 10, 100, 2 ** 53])
+                              | st.integers(-2 ** 53, 2 ** 53), _image_boxes()),
+                    max_size=6, unique_by=lambda case: case[0]))
+    @example([])
+    @example([(2, ([], [])), (10, ([BBox(0, 0, 9, 9)], [])), (100, ([], [BBox(0, 0, 9, 9)])),
+              (-3, ([BBox(0, 0, 9, 9)], [BBox(1, 0, 9, 9)]))])
+    def test_report_json_from_table_matches_json_dumps(self, tmp_path_factory, cases):
+        # The per_image block is written from the TP table, in the string
+        # order of the ids ("-3" < "10" < "100" < "2"); images with no
+        # predictions, no ground truths or neither have rows too.
+        ids = [image_id for image_id, _ in cases]
+        gt_boxes = [(image_id, b) for image_id, (_, gs) in cases for b in gs]
+        dataset = Dataset(
+            [ImageRecord(image_id, 100, 100, f"{image_id}.jpg") for image_id in ids],
+            [GroundTruthInstance(n, image_id, b, polygon_set([[b.x, b.y, b.x2, b.y2, b.x, b.y2]]), 1)
+             for n, (image_id, b) in enumerate(gt_boxes, 1)],
+            1, "rip_current")
+        preds = [PredictionInstance(image_id, 0.9 - 0.1 * i, 1, i, bbox=b)
+                 for image_id, (ps, _) in cases for i, b in enumerate(ps)]
+        report = evaluate(dataset, PredictionSet(DETECTION, preds))
+        assert list(report.per_image) == ids
+        for image_id, (ps, gs) in cases:
+            assert {(tp + fp, tp + fn) for tp, fp, fn in report.per_image[image_id].values()} \
+                   == {(len(ps), len(gs))}
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        write_json(report, path)
+        assert path.read_text(encoding="utf-8") == \
+               json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def test_score_rescaling_invariance(self, tmp_path):
         from detsegeval.fixtures import generate_fixture
         fx = generate_fixture(seed=7, n_images=4, max_instances=4)
@@ -637,7 +670,9 @@ def _report(f1, f1r, f2, f2r):
     return MetricsReport(
         task="detection", per_threshold=[],
         f1_headline=f1, f1_range=f1r, f2_headline=f2, f2_range=f2r,
-        final=final_score(f1, f1r, f2, f2r), per_image={},
+        final=final_score(f1, f1r, f2, f2r),
+        image_ids=[], pred_counts=[], gt_counts=[],
+        tp_table=np.zeros((0, len(THRESHOLDS)), dtype=np.int64),
     )
 
 
